@@ -26,6 +26,10 @@ from .holonomy import (
     params_for_rotation,
 )
 from .spin_model import (
+    LOGICAL_LABELS_1Q,
+    LOGICAL_LABELS_2Q,
+    CouplingParams1Q,
+    CouplingParams2Q,
     SubspaceFrame,
     build_h1,
     build_h2,
@@ -33,6 +37,7 @@ from .spin_model import (
     dfs6_frame,
     logical_frame_1q,
     logical_frame_2q,
+    restrict,
 )
 
 # Preset single-qubit targets: (theta, gamma).
@@ -40,6 +45,15 @@ GATE_PRESETS = {
     "hadamard": (3 * math.pi / 4, math.pi),
     "pi8": (0.0, math.pi / 4),
 }
+
+# Largest sweep grid (steps_per_axis squared) that SweepSpec accepts; the
+# CSV rendering of a grid this size is already about 15 MB.
+MAX_SWEEP_POINTS = 250_000
+
+# Largest float64 roundoff tolerated in the loop phases |E|*tau: the
+# tolerance the gate formula is checked to.
+PHASE_ROUNDOFF_LIMIT = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -63,6 +77,10 @@ class SweepSpec:
     omega: float = 1.0
 
     def __post_init__(self):
+        for name in ("ratio_min", "ratio_max", "omega", "theta", "gamma", "theta_tilde"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gate_target not in ("hadamard", "pi8", "custom", "two_qubit"):
             raise ValueError(f"unknown gate target {self.gate_target!r}")
         if self.gate_target == "custom" and (self.theta is None or self.gamma is None):
@@ -79,15 +97,28 @@ class SweepSpec:
             raise ValueError(
                 f"steps_per_axis must be at least 2, got {self.steps_per_axis}"
             )
+        points = self.steps_per_axis**2
+        if points > MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"steps_per_axis={self.steps_per_axis} gives {points} grid points, "
+                f"more than MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}"
+            )
+        if not math.isfinite(self.omega / self.ratio_min):
+            raise ValueError(
+                f"DM strength omega/ratio_min = {self.omega}/{self.ratio_min} overflows"
+            )
 
 
 @dataclass(frozen=True)
 class SweepTable:
     """Fidelity and sector-leakage surfaces over the two DM ratio axes.
 
-    Rows are indexed by ``axis1`` and columns by ``axis2``.  ``leakage``
-    records the population escaping the fixed-excitation sector, which the
-    symmetry argument pins at zero up to roundoff.
+    Rows are indexed by ``axis1`` and columns by ``axis2``.  ``leakage`` is
+    an upper bound on the population escaping the fixed-excitation sector,
+    ``min(1, (tau * (r0 + |d1| r1 + |d2| r2))**2)`` from the invariance
+    residuals ``r = ||(I - P) X P||_F`` of the unperturbed Hamiltonian and
+    of the two unit DM bonds.  The DM z-terms conserve excitation number,
+    so every residual, and with them the bound, is exactly zero.
     """
 
     axis1: np.ndarray
@@ -96,25 +127,27 @@ class SweepTable:
     leakage: np.ndarray
 
 
-def gate_fidelity(ideal: np.ndarray, actual_projected: np.ndarray) -> float:
+def gate_fidelity(ideal: np.ndarray, actual_projected: np.ndarray) -> float | np.ndarray:
     """Average state fidelity of a (possibly leaky) projected evolution.
 
     ``F = (|tr(V^dag U)|^2 + tr(U^dag U)) / (k (k + 1))`` with ``V`` the
     ideal unitary and ``U`` the projected block; equal to 1 exactly when the
     block matches the ideal up to a global phase, and penalizing leakage
-    through the trace term.
+    through the trace term.  A single ``k x k`` block gives a float; a
+    stack of blocks of shape ``(..., k, k)`` gives an array of fidelities.
     """
     ideal = np.asarray(ideal, dtype=complex)
     actual = np.asarray(actual_projected, dtype=complex)
-    if ideal.shape != actual.shape or ideal.ndim != 2 or ideal.shape[0] != ideal.shape[1]:
+    if ideal.ndim != 2 or ideal.shape[0] != ideal.shape[1] or actual.shape[-2:] != ideal.shape:
         raise ValueError(f"dimension mismatch: {ideal.shape} vs {actual.shape}")
-    top = np.linalg.norm(actual, ord=2)
+    top = np.max(np.linalg.norm(actual, ord=2, axis=(-2, -1)))
     if top > 1.0 + 1e-9:
         raise ValueError(f"projected block has operator norm {top:.6f} > 1")
     k = ideal.shape[0]
-    overlap = abs(np.trace(ideal.conj().T @ actual)) ** 2
-    trace_term = float(np.trace(actual.conj().T @ actual).real)
-    return float((overlap + trace_term) / (k * (k + 1)))
+    overlap = np.abs(np.einsum("ab,...ab->...", ideal.conj(), actual)) ** 2
+    trace_term = np.einsum("...ab,...ab->...", actual.conj(), actual).real
+    fidelity = (overlap + trace_term) / (k * (k + 1))
+    return float(fidelity) if actual.ndim == 2 else fidelity
 
 
 def _dm_strength(omega: float, ratio: float) -> float:
@@ -173,17 +206,32 @@ def perturbed_gate_2q(
     )
 
 
-def _resolve_target(spec: SweepSpec):
+def _sector_terms(spec: SweepSpec):
+    # Sector blocks of H0, G1 and G2 in H = H0 + d1*G1 + d2*G2, their
+    # invariance residuals ||(I - P) X P||_F, the positions of the logical
+    # states inside the sector, the ideal gate and the loop duration.
     if spec.gate_target == "two_qubit":
-        params = GateParams2Q(theta_tilde=spec.theta_tilde, m_tilde=spec.m,
-                              omega_tilde=spec.omega)
-        return lambda r1, r2: perturbed_gate_2q(params, r1, r2, samples=2)
-    if spec.gate_target == "custom":
-        theta, gamma = spec.theta, spec.gamma
+        g = GateParams2Q(theta_tilde=spec.theta_tilde, m_tilde=spec.m,
+                         omega_tilde=spec.omega)
+        terms = (build_h2(g.couplings()),
+                 build_h2(CouplingParams2Q(0.0, 0.0, d32_z=1.0)),
+                 build_h2(CouplingParams2Q(0.0, 0.0, d42_z=1.0)))
+        sector, logical = dfs6_frame(), LOGICAL_LABELS_2Q
+        ideal = analytic_gate_2q(g.theta_tilde)
     else:
-        theta, gamma = GATE_PRESETS[spec.gate_target]
-    params = params_for_rotation(theta, gamma, m=spec.m, omega=spec.omega)
-    return lambda r1, r2: perturbed_gate_1q(params, r1, r2, samples=2)
+        if spec.gate_target == "custom":
+            theta, gamma = spec.theta, spec.gamma
+        else:
+            theta, gamma = GATE_PRESETS[spec.gate_target]
+        g = params_for_rotation(theta, gamma, m=spec.m, omega=spec.omega)
+        terms = (build_h1(g.couplings()),
+                 build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d1a_z=1.0)),
+                 build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d2a_z=1.0)))
+        sector, logical = dfs3_frame(), LOGICAL_LABELS_1Q
+        ideal = analytic_gate_1q(theta, gamma)
+    blocks, residuals = zip(*(restrict(term, sector) for term in terms))
+    return (blocks, residuals, [sector.labels.index(label) for label in logical],
+            ideal, g.tau)
 
 
 def sweep_axes(spec: SweepSpec) -> np.ndarray:
@@ -197,18 +245,35 @@ def sweep_axes(spec: SweepSpec) -> np.ndarray:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the fidelity/leakage grid for a sweep specification.
 
-    Grid points are independent; evaluation order is row-major with rows
-    indexed by the first axis, and the output is deterministic.
+    The perturbed Hamiltonian ``H0 + d1*G1 + d2*G2`` is linear in the DM
+    strengths and leaves the fixed-excitation sector invariant, so the three
+    terms are restricted to the sector once and each grid row (fixed first
+    ratio) is diagonalized as one stack of sector Hamiltonians.  Sector
+    leakage is bounded by ``||Q U(tau) P|| <= tau ||Q H P||``, with
+    ``||Q H P||`` at most the residual-weighted sum of the three terms.
+
+    Raises ``ValueError`` when the loop phases ``|E|*tau`` are so large that
+    their float64 roundoff exceeds ``PHASE_ROUNDOFF_LIMIT``.  Rows are
+    indexed by the first axis and the output is deterministic.
     """
     axis = sweep_axes(spec)
-    evaluate = _resolve_target(spec)
+    (e0, e1, e2), (r0, r1, r2), logical, ideal, tau = _sector_terms(spec)
+    strengths = spec.omega / axis
     n = len(axis)
     fidelity = np.empty((n, n))
     leakage = np.empty((n, n))
-    for i, r1 in enumerate(axis):
-        for j, r2 in enumerate(axis):
-            report = evaluate(r1, r2)
-            fidelity[i, j] = min(max(report.fidelity, 0.0), 1.0)
-            leakage[i, j] = min(max(report.sector_leakage, 0.0), 1.0)
+    for i, d1 in enumerate(strengths):
+        values, vectors = np.linalg.eigh(e0 + d1 * e1 + strengths[:, None, None] * e2)
+        roundoff = float(np.max(np.abs(values))) * tau * _EPS
+        if not roundoff <= PHASE_ROUNDOFF_LIMIT:
+            raise ValueError(
+                f"loop phase |E|*tau = {roundoff / _EPS:.3g} at ratio1 = {axis[i]:.6g} "
+                f"leaves float64 roundoff {roundoff:.3g} above the gate tolerance "
+                f"{PHASE_ROUNDOFF_LIMIT:g}; raise ratio_min or lower m"
+            )
+        rows = vectors[:, logical, :]
+        block = (rows * np.exp(-1j * tau * values)[:, None, :]) @ rows.conj().swapaxes(1, 2)
+        fidelity[i] = np.clip(gate_fidelity(ideal, block), 0.0, 1.0)
+        leakage[i] = np.minimum((tau * (r0 + d1 * r1 + strengths * r2)) ** 2, 1.0)
     return SweepTable(axis1=axis.copy(), axis2=axis.copy(), fidelity=fidelity,
                       leakage=leakage)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,42 @@ class TestSweep:
                 digits = field.split("e")[0].replace("-", "").replace(".", "")
                 significant = digits.lstrip("0")
                 assert len(significant) <= 12
+
+
+class TestSweepBoundary:
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--omega", "inf"], "omega"),
+            (["--omega=-inf"], "omega"),
+            (["--max", "inf"], "ratio_max"),
+            (["--min", "nan"], "ratio_min"),
+            (["--gate", "custom", "--theta", "1.0", "--gamma", "nan"], "gamma"),
+            (["--gate", "custom", "--theta", "inf", "--gamma", "1.0"], "theta"),
+            (["--gate", "two-qubit", "--theta-tilde", "nan"], "theta_tilde"),
+        ],
+    )
+    def test_non_finite_value_exits_2(self, flags, field, capsys):
+        argv = ["sweep", "--gate", "hadamard", "--steps", "2"] + flags
+        assert run(argv) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+    def test_roundoff_phase_exits_2(self, capsys):
+        assert run(["sweep", "--gate", "hadamard", "--min", "1e-300", "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "|E|*tau" in err and "ratio1 = 1e-300" in err
+
+    def test_oversized_grid_exits_2_without_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = run(["sweep", "--gate", "hadamard", "--steps", "1000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "steps_per_axis=1000000" in capsys.readouterr().err
+        # One ratio axis of 10^6 float64 values alone would be 8 MB.
+        assert peak < 1_000_000
 
 
 class TestToleranceBreach:
