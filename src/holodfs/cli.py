@@ -25,9 +25,10 @@ from .entanglement import (
     classify_gate,
     entangling_power_analytic,
     entangling_power_mc,
+    is_cnot_point,
     local_invariants,
+    require_unitary,
     weyl_coordinates,
-    CNOT_POINT,
 )
 from .linalg import unitarity_defect
 from .holonomy import (
@@ -252,10 +253,7 @@ def cmd_synth_2q(args) -> int:
             "ep_mc_stderr": ep_stderr,
             "mc_samples": args.mc_samples,
             "seed": args.seed,
-            "cnot_equivalent": all(
-                abs(c - ref) <= TOLERANCES["cnot_weyl"]
-                for c, ref in zip(weyl, CNOT_POINT)
-            ),
+            "cnot_equivalent": is_cnot_point(weyl, TOLERANCES["cnot_weyl"]),
         },
         "tolerances": TOLERANCES,
     }
@@ -334,14 +332,9 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def cmd_classify(args) -> int:
-    matrix = _load_matrix(args.matrix_file)
+    matrix = require_unitary(_load_matrix(args.matrix_file),
+                             TOLERANCES["input_unitarity"])
     defect = unitarity_defect(matrix)
-    if defect > TOLERANCES["input_unitarity"]:
-        raise CommandError(
-            f"input matrix is not unitary: defect {defect:.3e} exceeds "
-            f"{TOLERANCES['input_unitarity']:.0e}",
-            EXIT_VALIDATION,
-        )
     report = classify_gate(
         matrix, ep_samples=args.samples, seed=args.seed, cnot_tol=args.cnot_tol
     )

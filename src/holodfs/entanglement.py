@@ -43,6 +43,13 @@ _COORD_MIX = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
 
 CNOT_POINT = (math.pi / 2, 0.0, 0.0)
 
+# Largest Monte-Carlo sample count: the draws take 64 bytes per sample, so
+# the cap bounds them at 640 MB.
+MAX_MC_SAMPLES = 10_000_000
+# Rows per chunk of the Monte-Carlo kernel: each complex temporary of a
+# chunk is 0.5 MB at most, so a chunk's working set stays in cache.
+_MC_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class EntanglementReport:
@@ -61,10 +68,14 @@ class EntanglementReport:
     ep_stderr: float | None = None
 
 
-def _require_unitary(u: np.ndarray, tol: float) -> np.ndarray:
+def require_unitary(u: np.ndarray, tol: float) -> np.ndarray:
+    """Return ``u`` as a complex array after checking that it is a finite
+    4x4 matrix with unitarity defect at most ``tol``."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix has non-finite (NaN or infinite) entries")
     defect = unitarity_defect(u)
     if defect > tol:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {tol:.0e}")
@@ -78,7 +89,7 @@ def local_invariants(u: np.ndarray, tol: float = 1e-10) -> tuple[complex, float]
     ``u -> (a (x) b) u (c (x) d)`` for any single-qubit unitaries and under
     global phases.
     """
-    u = _require_unitary(u, tol)
+    u = require_unitary(u, tol)
     ub = _Q_MAGIC.conj().T @ u @ _Q_MAGIC
     m = ub.T @ ub
     det = np.linalg.det(u)
@@ -108,7 +119,7 @@ def weyl_coordinates(u: np.ndarray, tol: float = 1e-10) -> tuple[float, float, f
     against the Makhlin invariants guards the phase unwrapping and raises if
     it cannot be trusted.
     """
-    u = _require_unitary(u, tol)
+    u = require_unitary(u, tol)
     u_tilde = _SYSY @ u.T @ _SYSY
     ev = np.linalg.eigvals(u @ u_tilde / np.sqrt(np.linalg.det(u).astype(complex)))
     two_s = np.angle(ev) / math.pi
@@ -147,32 +158,53 @@ def entangling_power_mc(
     """Monte-Carlo entangling power: mean linear entropy over product inputs.
 
     Draws ``samples`` pairs of independent Haar-random single-qubit states
-    (normalized complex Gaussians), applies ``u`` and averages the linear
-    entropy ``1 - tr(rho_1^2)`` of the reduced output state.  Returns the
-    estimate and its standard error; fixed ``seed`` gives bit-identical
-    results.
+    ``a``, ``b`` (complex Gaussians, left unnormalized), applies ``u`` and
+    averages the linear entropy of the reduced output state.  For a normalized
+    pure two-qubit state with 2x2 amplitude matrix ``m`` the linear entropy is
+    ``1 - tr(rho_1^2) = 2 |det m|^2``, so with ``psi = u (a (x) b)`` each
+    sample is ``2 |psi_0 psi_3 - psi_1 psi_2|^2 / (|a|^2 |b|^2)^2``.  The
+    draws are processed in chunks of ``_MC_CHUNK`` rows to keep the
+    temporaries in cache.  Returns the estimate and its standard error;
+    fixed ``seed`` gives bit-identical results.  ``samples`` must lie in
+    [1000, ``MAX_MC_SAMPLES``], checked before anything is allocated.
     """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+    if not 1000 <= samples <= MAX_MC_SAMPLES:
+        raise ValueError(
+            f"Monte-Carlo samples={samples} is outside [1000, "
+            f"MAX_MC_SAMPLES={MAX_MC_SAMPLES}]"
+        )
     u = np.asarray(u, dtype=complex)
     rng = np.random.default_rng(seed)
-    amps = rng.standard_normal((2, samples, 2)) + 1j * rng.standard_normal((2, samples, 2))
-    amps /= np.linalg.norm(amps, axis=2, keepdims=True)
-    product = np.einsum("ni,nj->nij", amps[0], amps[1]).reshape(samples, 4)
-    out = product @ u.T
-    m = out.reshape(samples, 2, 2)
-    rho1 = np.einsum("nij,nkj->nik", m, m.conj())
-    purity = np.einsum("nik,nik->n", rho1, rho1.conj()).real
-    entropy = 1.0 - purity
+    re = rng.standard_normal((2, samples, 2))
+    im = rng.standard_normal((2, samples, 2))
+    entropy = np.empty(samples)
+    # (state, component, sample) layout, so every elementwise pass runs
+    # along the long sample axis.
+    amps = np.empty((2, 2, min(samples, _MC_CHUNK)), dtype=complex)
+    for start in range(0, samples, _MC_CHUNK):
+        n = min(_MC_CHUNK, samples - start)
+        rows = slice(start, start + n)
+        ab = amps[:, :, :n]
+        ab.real = re[:, rows].transpose(0, 2, 1)
+        ab.imag = im[:, rows].transpose(0, 2, 1)
+        psi = u @ (ab[0, :, None] * ab[1, None, :]).reshape(4, n)
+        det = psi[0] * psi[3] - psi[1] * psi[2]
+        sq = ab.real**2 + ab.imag**2
+        norm = (sq[0, 0] + sq[0, 1]) * (sq[1, 0] + sq[1, 1])
+        entropy[rows] = 2.0 * (det.real**2 + det.imag**2) / norm**2
     estimate = float(entropy.mean())
     stderr = float(entropy.std(ddof=1) / math.sqrt(samples))
     return estimate, stderr
 
 
+def is_cnot_point(weyl: tuple[float, float, float], tol: float) -> bool:
+    """Whether a Weyl point lies within ``tol`` of L = (pi/2, 0, 0) in every coordinate."""
+    return all(abs(c - ref) <= tol for c, ref in zip(weyl, CNOT_POINT))
+
+
 def is_cnot_class(u: np.ndarray, tol: float = 1e-6) -> bool:
     """Whether the canonical Weyl point of ``u`` lies at L = (pi/2, 0, 0)."""
-    coords = weyl_coordinates(u)
-    return all(abs(c - ref) <= tol for c, ref in zip(coords, CNOT_POINT))
+    return is_cnot_point(weyl_coordinates(u), tol)
 
 
 def classify_gate(
@@ -194,8 +226,6 @@ def classify_gate(
         g2=g2,
         weyl=weyl,
         ep=ep,
-        cnot_equivalent=all(
-            abs(c - ref) <= cnot_tol for c, ref in zip(weyl, CNOT_POINT)
-        ),
+        cnot_equivalent=is_cnot_point(weyl, cnot_tol),
         ep_stderr=stderr,
     )

@@ -21,6 +21,17 @@ from . import linalg
 from .spin_model import SIGMA_X, SIGMA_Z, CouplingParams1Q, CouplingParams2Q, SubspaceFrame
 
 
+def _require_winding(name: str, value: int) -> None:
+    if value < 1 or int(value) != value:
+        raise ValueError(f"winding {name} must be a positive integer, got {value}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(
+            f"winding {name} with {len(str(value))} digits is too large for a float"
+        ) from None
+
+
 @dataclass(frozen=True)
 class GateParams1Q:
     """Control parameters of one single-qubit holonomic loop.
@@ -41,8 +52,7 @@ class GateParams1Q:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi <= math.pi:
             raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
-        if self.m < 1 or int(self.m) != self.m:
-            raise ValueError(f"winding m must be a positive integer, got {self.m}")
+        _require_winding("m", self.m)
         if self.omega <= 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
@@ -83,8 +93,7 @@ class GateParams2Q:
             raise ValueError(
                 f"theta_tilde must lie in (0, pi/2), got {self.theta_tilde}"
             )
-        if self.m_tilde < 1 or int(self.m_tilde) != self.m_tilde:
-            raise ValueError(f"winding m_tilde must be a positive integer, got {self.m_tilde}")
+        _require_winding("m_tilde", self.m_tilde)
         if self.m_tilde % 2 == 0:
             raise ValueError(
                 f"winding m_tilde must be odd (even windings give the identity), "
@@ -204,6 +213,7 @@ def params_for_rotation(
     theta outside [0, pi] are covered by the identity
     R_{-n}(gamma) = R_{n}(-gamma).
     """
+    _require_winding("m", m)
     limit = 2.0 * m * math.pi
     if not 0.0 <= gamma <= limit:
         m_min = max(1, math.ceil(gamma / (2.0 * math.pi)))

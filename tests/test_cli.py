@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from holodfs import cli
+from holodfs import entanglement as ent
 
 
 def run(argv):
@@ -222,6 +223,64 @@ class TestClassify:
         run(["classify", str(matrix_path), "--samples", "5000", "--out", str(a)])
         run(["classify", str(matrix_path), "--samples", "5000", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, bad):
+        matrix = CNOT.copy()
+        matrix[1, 2] = bad
+        matrix_path = tmp_path / "m.json"
+        write_matrix(matrix_path, matrix)
+        assert run(["classify", str(matrix_path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestMonteCarloCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "MATRIX", "--samples", "100000000000"],
+            ["synth-2q", "--theta-tilde", "0.7", "--mc-samples", "100000000000"],
+        ],
+    )
+    def test_oversized_sample_count_exits_2_without_allocating(
+        self, tmp_path, capsys, argv
+    ):
+        matrix_path = tmp_path / "cnot.json"
+        write_matrix(matrix_path, CNOT)
+        argv = [str(matrix_path) if a == "MATRIX" else a for a in argv]
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "samples=100000000000" in err
+        assert f"MAX_MC_SAMPLES={ent.MAX_MC_SAMPLES}" in err
+        # The draws alone would be 6.4 TB.
+        assert peak < 1_000_000
+
+
+# 401 digits, odd so that it is also a valid two-qubit winding.
+HUGE_WINDING = "1" + "0" * 399 + "1"
+
+
+class TestWindingOverflow:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["synth-1q", "--gate", "hadamard", "--m", HUGE_WINDING], "m"),
+            (["verify", "--gate", "hadamard", "--m", HUGE_WINDING], "m"),
+            (["sweep", "--gate", "hadamard", "--steps", "2", "--m", HUGE_WINDING], "m"),
+            (["synth-2q", "--theta-tilde", "0.7", "--m-tilde", HUGE_WINDING],
+             "m_tilde"),
+        ],
+    )
+    def test_winding_too_large_for_a_float_exits_2(self, argv, name, capsys):
+        assert run(argv) == 2
+        assert f"winding {name} with 401 digits is too large" in capsys.readouterr().err
 
 
 class TestSweep:

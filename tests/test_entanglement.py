@@ -150,6 +150,13 @@ class TestCnotClass:
     def test_family_off_the_point(self):
         assert not ent.is_cnot_class(analytic_gate_2q(0.3))
 
+    @pytest.mark.parametrize("axis", range(3))
+    def test_point_tolerance_is_per_coordinate(self, axis):
+        for offset, inside in ((0.9e-6, True), (1.1e-6, False)):
+            point = list(ent.CNOT_POINT)
+            point[axis] += offset
+            assert ent.is_cnot_point(tuple(point), 1e-6) is inside
+
 
 class TestClassifyGate:
     def test_cnot_report(self):
