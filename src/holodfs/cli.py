@@ -27,7 +27,7 @@ from .entanglement import (
     entangling_power_mc,
     is_cnot_point,
     local_invariants,
-    require_unitary,
+    require_mc_samples,
     weyl_coordinates,
 )
 from .linalg import unitarity_defect
@@ -39,15 +39,9 @@ from .holonomy import (
     params_for_rotation,
 )
 from .noise import GATE_PRESETS, SweepSpec, run_sweep
-from .spin_model import (
-    build_h1,
-    build_h2,
-    dfs3_frame,
-    dfs6_frame,
-    logical_frame_1q,
-    logical_frame_2q,
-    restrict,
-)
+from .spin_model import effective_subframe, restrict
+# Bound only for bench/tests/test_bench.py, which checks that tracing patches them here.
+from .spin_model import build_h1, build_h2  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -136,37 +130,17 @@ def _report_block(report) -> dict:
     return block
 
 
-def _single_qubit_runs(theta: float, gamma: float, m: int, omega: float,
-                       samples: int):
-    params = params_for_rotation(theta, gamma, m=m, omega=omega)
-    ideal = analytic_gate_1q(theta, gamma)
-    h_full = build_h1(params.couplings())
-    h_eff, _ = restrict(h_full, dfs3_frame())
+def _runs(params, ideal: np.ndarray, samples: int):
+    # The loop of ``params`` evolved in its excitation sector and in full space.
+    h_full = params.terms()[0]
+    sector, logical = params.frames()
+    h_eff, _ = restrict(h_full, sector)
     effective = evolve_and_project(
-        h_eff, logical_frame_1q(effective=True), params.tau, samples=samples,
-        ideal=ideal,
+        h_eff, effective_subframe(sector, logical.labels), params.tau,
+        samples=samples, ideal=ideal,
     )
-    full = evolve_and_project(
-        h_full, logical_frame_1q(), params.tau, samples=samples, ideal=ideal
-    )
-    return params, ideal, effective, full
-
-
-def _two_qubit_runs(theta_tilde: float, m_tilde: int, omega_tilde: float,
-                    samples: int):
-    params = GateParams2Q(theta_tilde=theta_tilde, m_tilde=m_tilde,
-                          omega_tilde=omega_tilde)
-    ideal = analytic_gate_2q(theta_tilde)
-    h_full = build_h2(params.couplings())
-    h_eff, _ = restrict(h_full, dfs6_frame())
-    effective = evolve_and_project(
-        h_eff, logical_frame_2q(effective=True), params.tau, samples=samples,
-        ideal=ideal,
-    )
-    full = evolve_and_project(
-        h_full, logical_frame_2q(), params.tau, samples=samples, ideal=ideal
-    )
-    return params, ideal, effective, full
+    full = evolve_and_project(h_full, logical, params.tau, samples=samples, ideal=ideal)
+    return effective, full
 
 
 def _check_distance(*reports) -> None:
@@ -193,11 +167,23 @@ def _resolve_1q_target(args) -> tuple[float, float]:
     return args.theta, args.gamma
 
 
+def _target(args):
+    """Loop parameters and ideal gate that the flags select (1q or 2q)."""
+    if getattr(args, "theta_tilde", None) is not None:
+        params = GateParams2Q(theta_tilde=args.theta_tilde, m_tilde=args.m_tilde,
+                              omega_tilde=args.omega_tilde)
+        return params, analytic_gate_2q(params.theta_tilde)
+    theta, gamma = _resolve_1q_target(args)
+    # The ideal comes from the requested angles: params.gamma went through
+    # acos and can differ from gamma in its last bits.
+    params = params_for_rotation(theta, gamma, m=args.m, omega=args.omega)
+    return params, analytic_gate_1q(theta, gamma)
+
+
 def cmd_synth_1q(args) -> int:
     theta, gamma = _resolve_1q_target(args)
-    params, ideal, effective, full = _single_qubit_runs(
-        theta, gamma, args.m, args.omega, args.samples
-    )
+    params, ideal = _target(args)
+    effective, full = _runs(params, ideal, args.samples)
     couplings = params.couplings()
     payload = {
         "command": "synth-1q",
@@ -225,9 +211,9 @@ def cmd_synth_1q(args) -> int:
 
 
 def cmd_synth_2q(args) -> int:
-    params, ideal, effective, full = _two_qubit_runs(
-        args.theta_tilde, args.m_tilde, args.omega_tilde, args.samples
-    )
+    require_mc_samples(args.mc_samples)
+    params, ideal = _target(args)
+    effective, full = _runs(params, ideal, args.samples)
     couplings = params.couplings()
     g1, g2 = local_invariants(full.holonomy)
     weyl = weyl_coordinates(full.holonomy)
@@ -263,17 +249,8 @@ def cmd_synth_2q(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.theta_tilde is not None:
-        mode = "2q"
-        _, _, effective, full = _two_qubit_runs(
-            args.theta_tilde, args.m_tilde, args.omega_tilde, args.samples
-        )
-    else:
-        mode = "1q"
-        theta, gamma = _resolve_1q_target(args)
-        _, _, effective, full = _single_qubit_runs(
-            theta, gamma, args.m, args.omega, args.samples
-        )
+    mode = "1q" if args.theta_tilde is None else "2q"
+    effective, full = _runs(*_target(args), args.samples)
 
     def criteria(report) -> dict:
         checks = {
@@ -332,12 +309,12 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def cmd_classify(args) -> int:
-    matrix = require_unitary(_load_matrix(args.matrix_file),
-                             TOLERANCES["input_unitarity"])
-    defect = unitarity_defect(matrix)
+    matrix = _load_matrix(args.matrix_file)
     report = classify_gate(
-        matrix, ep_samples=args.samples, seed=args.seed, cnot_tol=args.cnot_tol
+        matrix, ep_samples=args.samples, seed=args.seed, cnot_tol=args.cnot_tol,
+        tol=TOLERANCES["input_unitarity"],
     )
+    defect = unitarity_defect(matrix)
     payload = {
         "command": "classify",
         "g1": report.g1,
@@ -402,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--samples", type=int, default=101,
                        help="time samples for the dynamics checks")
-        p.add_argument("--format", choices=["json"], default="json")
         p.add_argument("--out", help="output file (default: stdout)")
 
     s1 = sub.add_parser("synth-1q", help="synthesize and verify a single-qubit gate")
@@ -438,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     c.add_argument("--cnot-tol", type=float, default=1e-6,
                    help="Weyl-distance tolerance for CNOT equivalence")
-    c.add_argument("--format", choices=["json"], default="json")
     c.add_argument("--out", help="output file (default: stdout)")
     c.set_defaults(func=cmd_classify)
 
@@ -459,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="logarithmic ratio spacing (the default)")
     scale.add_argument("--linear", action="store_true",
                        help="linear ratio spacing")
-    w.add_argument("--format", choices=["csv"], default="csv")
     w.add_argument("--out", help="output file (default: stdout)")
     w.set_defaults(func=cmd_sweep)
 

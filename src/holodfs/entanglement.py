@@ -55,9 +55,8 @@ _MC_CHUNK = 8192
 class EntanglementReport:
     """Classification of one two-qubit gate.
 
-    ``ep`` is the entangling power; for gates from the structured family it
-    is the exact closed form, otherwise the seeded Monte-Carlo estimate
-    whose standard error is then reported in ``ep_stderr``.
+    ``ep`` is the seeded Monte-Carlo estimate of the entangling power and
+    ``ep_stderr`` its standard error, for every input gate.
     """
 
     g1: complex
@@ -152,6 +151,15 @@ def entangling_power_analytic(theta_tilde: float) -> float:
     return EP_MAX * math.sin(2.0 * theta_tilde) ** 2
 
 
+def require_mc_samples(samples: int) -> None:
+    """Refuse a Monte-Carlo sample count outside [1000, ``MAX_MC_SAMPLES``]."""
+    if not 1000 <= samples <= MAX_MC_SAMPLES:
+        raise ValueError(
+            f"Monte-Carlo samples={samples} is outside [1000, "
+            f"MAX_MC_SAMPLES={MAX_MC_SAMPLES}]"
+        )
+
+
 def entangling_power_mc(
     u: np.ndarray, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -168,11 +176,7 @@ def entangling_power_mc(
     fixed ``seed`` gives bit-identical results.  ``samples`` must lie in
     [1000, ``MAX_MC_SAMPLES``], checked before anything is allocated.
     """
-    if not 1000 <= samples <= MAX_MC_SAMPLES:
-        raise ValueError(
-            f"Monte-Carlo samples={samples} is outside [1000, "
-            f"MAX_MC_SAMPLES={MAX_MC_SAMPLES}]"
-        )
+    require_mc_samples(samples)
     u = np.asarray(u, dtype=complex)
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((2, samples, 2))
@@ -212,14 +216,16 @@ def classify_gate(
     ep_samples: int = 100_000,
     seed: int = 0,
     cnot_tol: float = 1e-6,
+    tol: float = 1e-10,
 ) -> EntanglementReport:
     """Full classification of an arbitrary two-qubit unitary.
 
-    The entangling power is estimated by Monte Carlo since no closed form is
-    assumed for general input.
+    ``u`` must be unitary to within ``tol``.  The entangling power is
+    estimated by Monte Carlo since no closed form is assumed for general
+    input.
     """
-    g1, g2 = local_invariants(u)
-    weyl = weyl_coordinates(u)
+    g1, g2 = local_invariants(u, tol)
+    weyl = weyl_coordinates(u, tol)
     ep, stderr = entangling_power_mc(u, ep_samples, seed)
     return EntanglementReport(
         g1=g1,

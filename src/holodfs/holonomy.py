@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, spin_model
 from .spin_model import SIGMA_X, SIGMA_Z, CouplingParams1Q, CouplingParams2Q, SubspaceFrame
 
 
@@ -40,6 +40,9 @@ class GateParams1Q:
     fixes the rotation angle gamma = m*pi*(cos phi + 1) through the coupling
     mix, ``m`` counts windings and ``omega`` is the overall energy scale.
     The loop duration is ``tau = m*pi/omega`` (hbar = 1).
+
+    Both loop types share the members ``omega``, ``tau``, ``terms()`` and
+    ``frames()``, so the code that runs a loop serves either.
     """
 
     theta: float
@@ -53,8 +56,8 @@ class GateParams1Q:
         if not 0.0 <= self.phi <= math.pi:
             raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
         _require_winding("m", self.m)
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
 
     @property
     def tau(self) -> float:
@@ -72,6 +75,17 @@ class GateParams1Q:
             d1a_z=d1a_z,
             d2a_z=d2a_z,
         )
+
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full-space ``(H0, G1, G2)``: the loop Hamiltonian under DM strengths
+        ``d1``, ``d2`` on the bonds Q1-Qa and Qa-Q2 is ``H0 + d1*G1 + d2*G2``."""
+        return (spin_model.build_h1(self.couplings()),
+                spin_model.build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d1a_z=1.0)),
+                spin_model.build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d2a_z=1.0)))
+
+    def frames(self) -> tuple[SubspaceFrame, SubspaceFrame]:
+        """Full-space frames of the loop's excitation sector and logical qubit."""
+        return spin_model.dfs3_frame(), spin_model.logical_frame_1q()
 
 
 @dataclass(frozen=True)
@@ -99,8 +113,14 @@ class GateParams2Q:
                 f"winding m_tilde must be odd (even windings give the identity), "
                 f"got {self.m_tilde}"
             )
-        if self.omega_tilde <= 0.0:
-            raise ValueError(f"omega_tilde must be positive, got {self.omega_tilde}")
+        if not 0.0 < self.omega_tilde < math.inf:
+            raise ValueError(
+                f"omega_tilde must be finite and positive, got {self.omega_tilde}"
+            )
+
+    @property
+    def omega(self) -> float:
+        return self.omega_tilde
 
     @property
     def tau(self) -> float:
@@ -113,6 +133,17 @@ class GateParams2Q:
             d32_z=d32_z,
             d42_z=d42_z,
         )
+
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full-space ``(H0, G1, G2)`` with DM generators on the bonds Q3-Q2
+        and Q2-Q4, as for :meth:`GateParams1Q.terms`."""
+        return (spin_model.build_h2(self.couplings()),
+                spin_model.build_h2(CouplingParams2Q(0.0, 0.0, d32_z=1.0)),
+                spin_model.build_h2(CouplingParams2Q(0.0, 0.0, d42_z=1.0)))
+
+    def frames(self) -> tuple[SubspaceFrame, SubspaceFrame]:
+        """Full-space frames of the 6-dim sector and the two logical qubits."""
+        return spin_model.dfs6_frame(), spin_model.logical_frame_2q()
 
 
 @dataclass(frozen=True)
@@ -214,6 +245,8 @@ def params_for_rotation(
     R_{-n}(gamma) = R_{n}(-gamma).
     """
     _require_winding("m", m)
+    if not math.isfinite(gamma):
+        raise ValueError(f"rotation angle gamma must be finite, got {gamma}")
     limit = 2.0 * m * math.pi
     if not 0.0 <= gamma <= limit:
         m_min = max(1, math.ceil(gamma / (2.0 * math.pi)))
@@ -244,23 +277,17 @@ def evolve_and_project(
     if samples < 2:
         raise ValueError(f"need at least 2 time samples, got {samples}")
     h = np.asarray(h, dtype=complex)
-    f = logical.vectors
-    if f.shape[0] != h.shape[0]:
-        raise ValueError(
-            f"frame dimension {f.shape[0]} incompatible with operator "
-            f"dimension {h.shape[0]}"
-        )
     values, vectors = linalg.eigh(h)
-    coeff = vectors.conj().T @ f  # frame in the eigenbasis
+    u_final = (vectors * np.exp(-1j * values * tau)) @ vectors.conj().T
+    holonomy = linalg.project_onto(u_final, logical)
 
+    coeff = vectors.conj().T @ logical.vectors  # frame in the eigenbasis
     max_dyn = 0.0
     for t in np.linspace(0.0, tau, samples):
         evolved = vectors @ (np.exp(-1j * values * t)[:, None] * coeff)
         block = evolved.conj().T @ h @ evolved
         max_dyn = max(max_dyn, float(np.max(np.abs(block))))
 
-    u_final = (vectors * np.exp(-1j * values * tau)) @ vectors.conj().T
-    holonomy = linalg.project_onto(u_final, logical)
     k = holonomy.shape[0]
     cyclicity = float(np.linalg.norm(holonomy.conj().T @ holonomy - np.eye(k)))
     leakage = max(0.0, 1.0 - float(np.linalg.norm(holonomy) ** 2) / k)

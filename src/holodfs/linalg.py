@@ -124,26 +124,18 @@ def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(u - aligned))
 
 
-def _frame_matrix(frame) -> np.ndarray:
-    vectors = getattr(frame, "vectors", frame)
-    return np.asarray(vectors, dtype=complex)
-
-
 def project_onto(u: np.ndarray, frame) -> np.ndarray:
-    """Project an operator onto an orthonormal frame.
+    """Project an operator onto an orthonormal ``SubspaceFrame``.
 
     Returns the k x k matrix of elements ``<f_a| u |f_b>`` in frame order.
-    ``frame`` may be a ``SubspaceFrame`` or a plain (dim, k) array whose
-    columns are the frame vectors.
+    The frame validated its own orthonormality when it was built; this is
+    the one place that checks it against the operator's dimension.
     """
     u = np.asarray(u, dtype=complex)
-    f = _frame_matrix(frame)
+    f = frame.vectors
     if f.shape[0] != u.shape[0]:
         raise ValueError(
             f"frame dimension {f.shape[0]} incompatible with operator "
             f"dimension {u.shape[0]}"
         )
-    gram_dev = np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1])))
-    if gram_dev > ATOL_UNITARY:
-        raise ValueError(f"frame not orthonormal: Gram deviation {gram_dev:.3e}")
     return f.conj().T @ u @ f

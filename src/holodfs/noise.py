@@ -25,20 +25,9 @@ from .holonomy import (
     evolve_and_project,
     params_for_rotation,
 )
-from .spin_model import (
-    LOGICAL_LABELS_1Q,
-    LOGICAL_LABELS_2Q,
-    CouplingParams1Q,
-    CouplingParams2Q,
-    SubspaceFrame,
-    build_h1,
-    build_h2,
-    dfs3_frame,
-    dfs6_frame,
-    logical_frame_1q,
-    logical_frame_2q,
-    restrict,
-)
+from .spin_model import SubspaceFrame, restrict
+# Bound only for bench/tests/test_bench.py, which checks that tracing patches them here.
+from .spin_model import build_h1, build_h2  # noqa: F401
 
 # Preset single-qubit targets: (theta, gamma).
 GATE_PRESETS = {
@@ -150,12 +139,6 @@ def gate_fidelity(ideal: np.ndarray, actual_projected: np.ndarray) -> float | np
     return float(fidelity) if actual.ndim == 2 else fidelity
 
 
-def _dm_strength(omega: float, ratio: float) -> float:
-    if ratio <= 0.0:
-        raise ValueError(f"DM ratio must be positive, got {ratio}")
-    return omega / ratio
-
-
 def _sector_leakage(h: np.ndarray, sector: SubspaceFrame, logical: SubspaceFrame,
                     tau: float) -> float:
     # Mean population of the evolved logical basis states outside the
@@ -167,6 +150,23 @@ def _sector_leakage(h: np.ndarray, sector: SubspaceFrame, logical: SubspaceFrame
     return max(0.0, 1.0 - float(populations.mean()))
 
 
+def _perturbed_gate(g: GateParams1Q | GateParams2Q, ideal: np.ndarray,
+                    d1_ratio: float, d2_ratio: float, samples: int) -> GateReport:
+    # The loop of ``g`` with DM strengths omega/ratio on its two bonds, run
+    # in full space for the unperturbed duration.
+    if not (d1_ratio > 0.0 and d2_ratio > 0.0):
+        raise ValueError(f"DM ratios must be positive, got {d1_ratio} and {d2_ratio}")
+    h0, g1, g2 = g.terms()
+    h = h0 + (g.omega / d1_ratio) * g1 + (g.omega / d2_ratio) * g2
+    sector, logical = g.frames()
+    report = evolve_and_project(h, logical, g.tau, samples=samples, ideal=ideal)
+    return replace(
+        report,
+        fidelity=gate_fidelity(ideal, report.holonomy),
+        sector_leakage=_sector_leakage(h, sector, logical, g.tau),
+    )
+
+
 def perturbed_gate_1q(
     g: GateParams1Q, d1_ratio: float, d2_ratio: float, samples: int = 101
 ) -> GateReport:
@@ -176,62 +176,28 @@ def perturbed_gate_1q(
     loop runs for the unperturbed duration and is compared against the ideal
     closed-form gate.
     """
-    d1 = _dm_strength(g.omega, d1_ratio)
-    d2 = _dm_strength(g.omega, d2_ratio)
-    h = build_h1(g.couplings(d1a_z=d1, d2a_z=d2))
-    logical = logical_frame_1q()
     ideal = analytic_gate_1q(g.theta, g.gamma)
-    report = evolve_and_project(h, logical, g.tau, samples=samples, ideal=ideal)
-    return replace(
-        report,
-        fidelity=gate_fidelity(ideal, report.holonomy),
-        sector_leakage=_sector_leakage(h, dfs3_frame(), logical, g.tau),
-    )
+    return _perturbed_gate(g, ideal, d1_ratio, d2_ratio, samples)
 
 
 def perturbed_gate_2q(
     g: GateParams2Q, d32_ratio: float, d42_ratio: float, samples: int = 101
 ) -> GateReport:
     """Two-qubit holonomic loop with DM noise on both bridge bonds."""
-    d32 = _dm_strength(g.omega_tilde, d32_ratio)
-    d42 = _dm_strength(g.omega_tilde, d42_ratio)
-    h = build_h2(g.couplings(d32_z=d32, d42_z=d42))
-    logical = logical_frame_2q()
     ideal = analytic_gate_2q(g.theta_tilde)
-    report = evolve_and_project(h, logical, g.tau, samples=samples, ideal=ideal)
-    return replace(
-        report,
-        fidelity=gate_fidelity(ideal, report.holonomy),
-        sector_leakage=_sector_leakage(h, dfs6_frame(), logical, g.tau),
-    )
+    return _perturbed_gate(g, ideal, d32_ratio, d42_ratio, samples)
 
 
-def _sector_terms(spec: SweepSpec):
-    # Sector blocks of H0, G1 and G2 in H = H0 + d1*G1 + d2*G2, their
-    # invariance residuals ||(I - P) X P||_F, the positions of the logical
-    # states inside the sector, the ideal gate and the loop duration.
+def _sweep_target(spec: SweepSpec):
+    # Loop parameters and ideal gate of the sweep's target.  The single-qubit
+    # ideal comes from the requested angles, not from the synthesized phi.
     if spec.gate_target == "two_qubit":
         g = GateParams2Q(theta_tilde=spec.theta_tilde, m_tilde=spec.m,
                          omega_tilde=spec.omega)
-        terms = (build_h2(g.couplings()),
-                 build_h2(CouplingParams2Q(0.0, 0.0, d32_z=1.0)),
-                 build_h2(CouplingParams2Q(0.0, 0.0, d42_z=1.0)))
-        sector, logical = dfs6_frame(), LOGICAL_LABELS_2Q
-        ideal = analytic_gate_2q(g.theta_tilde)
-    else:
-        if spec.gate_target == "custom":
-            theta, gamma = spec.theta, spec.gamma
-        else:
-            theta, gamma = GATE_PRESETS[spec.gate_target]
-        g = params_for_rotation(theta, gamma, m=spec.m, omega=spec.omega)
-        terms = (build_h1(g.couplings()),
-                 build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d1a_z=1.0)),
-                 build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d2a_z=1.0)))
-        sector, logical = dfs3_frame(), LOGICAL_LABELS_1Q
-        ideal = analytic_gate_1q(theta, gamma)
-    blocks, residuals = zip(*(restrict(term, sector) for term in terms))
-    return (blocks, residuals, [sector.labels.index(label) for label in logical],
-            ideal, g.tau)
+        return g, analytic_gate_2q(g.theta_tilde)
+    theta, gamma = GATE_PRESETS.get(spec.gate_target, (spec.theta, spec.gamma))
+    g = params_for_rotation(theta, gamma, m=spec.m, omega=spec.omega)
+    return g, analytic_gate_1q(theta, gamma)
 
 
 def sweep_axes(spec: SweepSpec) -> np.ndarray:
@@ -257,7 +223,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     indexed by the first axis and the output is deterministic.
     """
     axis = sweep_axes(spec)
-    (e0, e1, e2), (r0, r1, r2), logical, ideal, tau = _sector_terms(spec)
+    g, ideal = _sweep_target(spec)
+    sector, logical_frame = g.frames()
+    (e0, e1, e2), (r0, r1, r2) = zip(*(restrict(term, sector) for term in g.terms()))
+    logical = [sector.labels.index(label) for label in logical_frame.labels]
+    tau = g.tau
     strengths = spec.omega / axis
     n = len(axis)
     fidelity = np.empty((n, n))

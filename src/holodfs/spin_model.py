@@ -24,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import ATOL_CONSTRUCTION, kron
+from .linalg import ATOL_CONSTRUCTION, kron, project_onto
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -132,46 +132,43 @@ def total_sz(n: int) -> np.ndarray:
     return sum(pauli_on(n, j, "z") for j in range(n))
 
 
-def _xy_bond(n: int, i: int, j: int, strength: float) -> np.ndarray:
-    # (J/2)(XiXj + YiYj): hops one excitation between sites i and j.
-    return (strength / 2.0) * (
-        pauli_on(n, i, "x") @ pauli_on(n, j, "x")
-        + pauli_on(n, i, "y") @ pauli_on(n, j, "y")
-    )
+def _unit_bond(n: int, i: int, j: int, dm: bool) -> np.ndarray:
+    # XY exchange (XiXj + YiYj)/2 hops one excitation between sites i and j;
+    # the antisymmetric z-axis DM exchange (XiYj - YiXj)/2 conserves
+    # excitation number just like it, and the order (i, j) fixes its sign.
+    xi, yi, xj, yj = (pauli_on(n, s, a) for s in (i, j) for a in "xy")
+    return ((xi @ yj - yi @ xj) if dm else (xi @ xj + yi @ yj)) / 2
 
 
-def _dm_z_bond(n: int, i: int, j: int, strength: float) -> np.ndarray:
-    # Antisymmetric z-axis exchange (D/2)(XiYj - YiXj); order (i, j) matters
-    # for the sign.  Conserves excitation number just like the XY term.
-    return (strength / 2.0) * (
-        pauli_on(n, i, "x") @ pauli_on(n, j, "y")
-        - pauli_on(n, i, "y") @ pauli_on(n, j, "x")
-    )
+# Unit generators in the field order of CouplingParams1Q / CouplingParams2Q,
+# built once and flattened: a Hamiltonian is the coupling vector times this
+# matrix.  The real and the imaginary part of each entry are one coupling
+# times +-1 or +-2 plus exact zeros, so the sum rounds nothing.
+_H1_TERMS = np.array([
+    _unit_bond(3, 0, 1, dm=False), _unit_bond(3, 1, 2, dm=False),
+    pauli_on(3, 0, "z") + pauli_on(3, 2, "z"),
+    _unit_bond(3, 0, 1, dm=True), _unit_bond(3, 1, 2, dm=True),
+]).reshape(5, 64)
+_H2_TERMS = np.array([
+    _unit_bond(4, 2, 1, dm=False), _unit_bond(4, 3, 1, dm=False),
+    _unit_bond(4, 2, 1, dm=True), _unit_bond(4, 1, 3, dm=True),
+]).reshape(4, 256)
 
 
 def build_h1(p: CouplingParams1Q) -> np.ndarray:
     """8x8 anisotropic XY Hamiltonian of the chain Q1 - Qa - Q2.
 
-    Local fields of strength ``b`` act on the outer qubits only.  Nonzero DM
-    coefficients add the antisymmetric z-axis exchange on the same bonds.
+    Local fields of strength ``b`` act on the outer qubits only.  The DM
+    coefficients weight the antisymmetric z-axis exchange on the same bonds.
     """
-    h = _xy_bond(3, 0, 1, p.j1a) + _xy_bond(3, 1, 2, p.j2a)
-    h = h + p.b * (pauli_on(3, 0, "z") + pauli_on(3, 2, "z"))
-    if p.d1a_z:
-        h = h + _dm_z_bond(3, 0, 1, p.d1a_z)
-    if p.d2a_z:
-        h = h + _dm_z_bond(3, 1, 2, p.d2a_z)
-    return h
+    couplings = np.array([p.j1a, p.j2a, p.b, p.d1a_z, p.d2a_z])
+    return (couplings @ _H1_TERMS).reshape(8, 8)
 
 
 def build_h2(p: CouplingParams2Q) -> np.ndarray:
     """16x16 XY Hamiltonian coupling Q3 and Q4 to Q2 (slots 2, 3 -> 1)."""
-    h = _xy_bond(4, 2, 1, p.j32) + _xy_bond(4, 3, 1, p.j42)
-    if p.d32_z:
-        h = h + _dm_z_bond(4, 2, 1, p.d32_z)
-    if p.d42_z:
-        h = h + _dm_z_bond(4, 1, 3, p.d42_z)
-    return h
+    couplings = np.array([p.j32, p.j42, p.d32_z, p.d42_z])
+    return (couplings @ _H2_TERMS).reshape(16, 16)
 
 
 def dfs_frame(n: int, excitations: int) -> SubspaceFrame:
@@ -256,14 +253,7 @@ def restrict(h: np.ndarray, frame: SubspaceFrame) -> tuple[np.ndarray, float]:
     norm of ``(I - P) h P`` with ``P`` the frame projector.  The residual
     vanishes exactly when the frame spans an invariant subspace of ``h``.
     """
-    h = np.asarray(h, dtype=complex)
-    f = frame.vectors
-    if f.shape[0] != h.shape[0]:
-        raise ValueError(
-            f"frame dimension {f.shape[0]} incompatible with operator "
-            f"dimension {h.shape[0]}"
-        )
-    effective = f.conj().T @ h @ f
-    p = f @ f.conj().T
-    residual = float(np.linalg.norm((np.eye(h.shape[0]) - p) @ h @ p))
+    effective = project_onto(h, frame)
+    p = frame.projector()
+    residual = float(np.linalg.norm((np.eye(len(p)) - p) @ h @ p))
     return effective, residual

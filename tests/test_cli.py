@@ -7,6 +7,7 @@ import pytest
 
 from holodfs import cli
 from holodfs import entanglement as ent
+from holodfs.holonomy import analytic_gate_1q
 
 
 def run(argv):
@@ -43,6 +44,15 @@ class TestSynth1Q:
         report = json.loads(out.read_text())
         assert report["params"]["gamma"] == pytest.approx(math.pi / 4)
         assert report["target"]["axis"] == pytest.approx([0.0, 0.0, -1.0])
+
+    def test_target_matrix_is_built_from_the_requested_angles(self, tmp_path):
+        # The synthesized params.gamma went through acos and reads
+        # 2.399999999999999 here; a target built from it differs in its last bits.
+        out = tmp_path / "t.json"
+        argv = ["synth-1q", "--theta", "0.8", "--gamma", "2.4", "--m", "2"]
+        assert run(argv + ["--out", str(out)]) == 0
+        expected = [[[v.real, v.imag] for v in row] for row in analytic_gate_1q(0.8, 2.4)]
+        assert json.loads(out.read_text())["target"]["matrix"] == expected
 
     def test_unreachable_gamma_exits_2(self, capsys):
         code = run(["synth-1q", "--theta", "0.5", "--gamma", "7.0", "--m", "1"])
@@ -225,6 +235,21 @@ class TestClassify:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("excess, code", [(2.5e-10, 0), (1e-8, 2)])
+    def test_input_unitarity_tolerance_decides(self, tmp_path, capsys, excess, code):
+        # (1 + excess) * I has unitarity defect ~2 * excess: 5e-10 lies inside
+        # the CLI's 1e-8 gate, 2e-8 outside it.
+        matrix_path = tmp_path / "m.json"
+        write_matrix(matrix_path, (1.0 + excess) * np.eye(4))
+        out = tmp_path / "c.json"
+        assert run(["classify", str(matrix_path), "--samples", "1000",
+                    "--out", str(out)]) == code
+        if code == 0:
+            defect = json.loads(out.read_text())["unitarity_defect"]
+            assert defect == pytest.approx(2 * excess, rel=1e-3)
+        else:
+            assert "exceeds 1e-08" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_exits_2(self, tmp_path, capsys, bad):
         matrix = CNOT.copy()
@@ -261,6 +286,19 @@ class TestMonteCarloCap:
         assert f"MAX_MC_SAMPLES={ent.MAX_MC_SAMPLES}" in err
         # The draws alone would be 6.4 TB.
         assert peak < 1_000_000
+
+
+    def test_synth_2q_checks_sample_count_before_synthesis(self, capsys, monkeypatch):
+        calls = []
+        evolve = cli.evolve_and_project
+        monkeypatch.setattr(cli, "evolve_and_project",
+                            lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        assert run(["synth-2q", "--theta-tilde", "0.7", "--mc-samples", "10"]) == 2
+        assert "samples=10 is outside [1000" in capsys.readouterr().err
+        assert calls == []
+        assert run(["synth-2q", "--theta-tilde", "0.7", "--mc-samples", "1000",
+                    "--samples", "2"]) == 0
+        assert len(calls) == 2
 
 
 # 401 digits, odd so that it is also a valid two-qubit winding.
@@ -350,10 +388,18 @@ class TestSweepBoundary:
             (["--gate", "custom", "--theta", "1.0", "--gamma", "nan"], "gamma"),
             (["--gate", "custom", "--theta", "inf", "--gamma", "1.0"], "theta"),
             (["--gate", "two-qubit", "--theta-tilde", "nan"], "theta_tilde"),
+            # Whole command lines: the gate parameters refuse them outside sweeps.
+            (["synth-1q", "--gate", "hadamard", "--omega", "inf"], "omega"),
+            (["verify", "--gate", "pi8", "--omega", "nan"], "omega"),
+            (["synth-1q", "--theta", "1", "--gamma", "nan"], "gamma"),
+            (["synth-1q", "--theta", "1", "--gamma", "inf"], "gamma"),
+            (["synth-2q", "--theta-tilde", "0.7", "--omega-tilde", "inf"], "omega_tilde"),
+            (["verify", "--theta-tilde", "0.7", "--omega-tilde", "nan"], "omega_tilde"),
         ],
     )
     def test_non_finite_value_exits_2(self, flags, field, capsys):
-        argv = ["sweep", "--gate", "hadamard", "--steps", "2"] + flags
+        argv = flags if not flags[0].startswith("--") else (
+            ["sweep", "--gate", "hadamard", "--steps", "2"] + flags)
         assert run(argv) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_su2
+from randmat import random_su2
 from holodfs import entanglement as ent
 from holodfs.holonomy import analytic_gate_2q
 

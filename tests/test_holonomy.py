@@ -45,6 +45,26 @@ class TestGateParams:
             ho.GateParams2Q(theta_tilde=2.0)
 
 
+class TestSharedLoopMembers:
+    LOOPS = [ho.GateParams1Q(theta=1.1, phi=0.6, m=2, omega=1.3),
+             ho.GateParams2Q(theta_tilde=0.4, m_tilde=3, omega_tilde=0.7)]
+
+    @pytest.mark.parametrize("g", LOOPS)
+    def test_terms_are_the_perturbed_hamiltonian(self, g):
+        d1, d2 = 0.37, -1.9
+        build = sm.build_h1 if isinstance(g, ho.GateParams1Q) else sm.build_h2
+        h0, g1, g2 = g.terms()
+        assert np.array_equal(h0, build(g.couplings()))
+        assert np.array_equal(h0 + d1 * g1 + d2 * g2, build(g.couplings(d1, d2)))
+
+    @pytest.mark.parametrize("g, sizes", zip(LOOPS, [(3, 2), (6, 4)]))
+    def test_frames_nest_in_the_hamiltonian_space(self, g, sizes):
+        sector, logical = g.frames()
+        assert (sector.size, logical.size) == sizes
+        assert set(logical.labels) <= set(sector.labels)
+        assert sector.dim == logical.dim == len(g.terms()[0])
+
+
 class TestAnalyticUTau:
     def test_initial_time_is_identity(self):
         g = ho.GateParams1Q(theta=0.4, phi=1.0)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_hermitian, random_unitary, taylor_expm
+from randmat import random_hermitian, random_unitary, taylor_expm
 from holodfs import linalg
-from holodfs.spin_model import SIGMA_X, SIGMA_Z
+from holodfs.spin_model import SIGMA_X, SIGMA_Z, SubspaceFrame
 
 
 def lambda_matrix(theta, phi, omega=1.0):
@@ -158,16 +158,23 @@ class TestPhaseInvariantDistance:
             linalg.phase_invariant_distance(np.eye(2), np.eye(3))
 
 
+def frame_of(vectors):
+    # Labels only need one excitation count per frame.
+    labels = tuple(format(1 << col, "08b") for col in range(vectors.shape[1]))
+    return SubspaceFrame(8, labels, vectors)
+
+
 class TestProjectOnto:
     def test_identity_operator(self):
-        frame = np.eye(5)[:, :3]
+        frame = frame_of(np.eye(5)[:, :3])
         assert_allclose(linalg.project_onto(np.eye(5), frame), np.eye(3), atol=0)
 
     def test_non_orthonormal_frame_rejected(self):
+        # A frame checks its own Gram matrix, so the projection never sees it.
         frame = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Gram"):
-            linalg.project_onto(np.eye(3), frame)
+            linalg.project_onto(np.eye(3), frame_of(frame))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="incompatible"):
-            linalg.project_onto(np.eye(3), np.eye(4)[:, :2])
+            linalg.project_onto(np.eye(3), frame_of(np.eye(4)[:, :2]))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_su2, random_unitary
+from randmat import random_su2, random_unitary
 from holodfs import entanglement as ent
 from holodfs.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z
 

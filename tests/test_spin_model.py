@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from holodfs import spin_model as sm
@@ -133,6 +135,59 @@ class TestBuildH2:
         p = sm.CouplingParams2Q(j32=-0.5, j42=0.9, d32_z=0.3, d42_z=0.7)
         h = sm.build_h2(p)
         assert np.max(np.abs(h - h.conj().T)) < 1e-13
+
+
+def chain_bond(n, i, j, strength, dm):
+    # Reference construction: explicit pauli_on Kronecker chains per call.
+    op = sm.pauli_on
+    if dm:
+        return (strength / 2.0) * (op(n, i, "x") @ op(n, j, "y") - op(n, i, "y") @ op(n, j, "x"))
+    return (strength / 2.0) * (op(n, i, "x") @ op(n, j, "x") + op(n, i, "y") @ op(n, j, "y"))
+
+
+def chain_h1(p):
+    h = chain_bond(3, 0, 1, p.j1a, False) + chain_bond(3, 1, 2, p.j2a, False)
+    h = h + p.b * (sm.pauli_on(3, 0, "z") + sm.pauli_on(3, 2, "z"))
+    if p.d1a_z:
+        h = h + chain_bond(3, 0, 1, p.d1a_z, True)
+    if p.d2a_z:
+        h = h + chain_bond(3, 1, 2, p.d2a_z, True)
+    return h
+
+
+def chain_h2(p):
+    h = chain_bond(4, 2, 1, p.j32, False) + chain_bond(4, 3, 1, p.j42, False)
+    if p.d32_z:
+        h = h + chain_bond(4, 2, 1, p.d32_z, True)
+    if p.d42_z:
+        h = h + chain_bond(4, 1, 3, p.d42_z, True)
+    return h
+
+
+# Finite couplings over many decades, with exact zeros drawn often.
+couplings = st.one_of(
+    st.just(0.0), st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
+)
+
+
+class TestPrebuiltGenerators:
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(couplings, min_size=5, max_size=5))
+    def test_h1_equals_kronecker_chains_exactly(self, values):
+        p = sm.CouplingParams1Q(*values)
+        assert np.array_equal(sm.build_h1(p), chain_h1(p))
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(couplings, min_size=4, max_size=4))
+    def test_h2_equals_kronecker_chains_exactly(self, values):
+        p = sm.CouplingParams2Q(*values)
+        assert np.array_equal(sm.build_h2(p), chain_h2(p))
+
+    def test_results_are_fresh_arrays(self):
+        p = sm.CouplingParams1Q(j1a=0.3, j2a=0.2, b=0.1)
+        h = sm.build_h1(p)
+        h[0, 0] = 99.0
+        assert sm.build_h1(p)[0, 0] == 2 * 0.1
 
 
 class TestDfsFrame:

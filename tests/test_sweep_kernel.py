@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holodfs import noise
+from holodfs import noise, spin_model
 from holodfs.holonomy import GateParams2Q, analytic_gate_1q, params_for_rotation
 from holodfs.spin_model import pauli_on
 
@@ -77,14 +77,14 @@ def test_leakage_bound_measures_the_generators(monkeypatch):
     # A transverse field on Q1 breaks excitation-number conservation: the
     # residual of H0 turns nonzero, the bound follows it and still covers
     # the leakage of the full-space evolution.
-    build_h1 = noise.build_h1
+    build_h1 = spin_model.build_h1
     field = 1e-3 * pauli_on(3, 0, "x")
 
     def with_field(p):
         h = build_h1(p)
         return h + field if (p.j1a, p.j2a, p.b) != (0.0, 0.0, 0.0) else h
 
-    monkeypatch.setattr(noise, "build_h1", with_field)
+    monkeypatch.setattr(spin_model, "build_h1", with_field)
     table = noise.run_sweep(
         noise.SweepSpec(gate_target="hadamard", ratio_min=2.0, ratio_max=50.0,
                         steps_per_axis=3)
