@@ -20,6 +20,34 @@ import numpy as np
 from . import linalg, spin_model
 from .spin_model import SIGMA_X, SIGMA_Z, CouplingParams1Q, CouplingParams2Q, SubspaceFrame
 
+# Largest float64 roundoff tolerated in the loop phases |E|*tau: the
+# tolerance the gate formula is checked to.
+PHASE_ROUNDOFF_LIMIT = 1e-9
+_EPS = float(np.finfo(float).eps)
+
+# Most time samples the dynamics check of evolve_and_project accepts, and
+# how many sampled times it evaluates per stacked pass.
+MAX_TIME_SAMPLES = 1_000_000
+_TIME_CHUNK = 256
+
+
+def require_phase_precision(values: np.ndarray, tau: float, where: str = "",
+                            remedy: str = "lower the winding") -> None:
+    """Refuse a loop whose phases ``|E|*tau`` have lost float64 precision.
+
+    ``values`` holds the eigenvalues (any shape) of the loop Hamiltonian(s)
+    run for ``tau``; ``where`` and ``remedy`` complete the message.  Raises
+    ``ValueError`` naming ``|E|*tau`` when its roundoff exceeds
+    ``PHASE_ROUNDOFF_LIMIT``.
+    """
+    roundoff = float(np.max(np.abs(values))) * tau * _EPS
+    if not roundoff <= PHASE_ROUNDOFF_LIMIT:
+        raise ValueError(
+            f"loop phase |E|*tau = {roundoff / _EPS:.3g}{where} "
+            f"leaves float64 roundoff {roundoff:.3g} above the gate tolerance "
+            f"{PHASE_ROUNDOFF_LIMIT:g}; {remedy}"
+        )
+
 
 def _require_winding(name: str, value: int) -> None:
     if value < 1 or int(value) != value:
@@ -258,6 +286,23 @@ def params_for_rotation(
     return GateParams1Q(theta=theta, phi=phi, m=m, omega=omega)
 
 
+def _max_logical_block(h: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                       frame: np.ndarray, tau: float, samples: int) -> float:
+    # Largest |F(t)^dag h F(t)| entry over ``samples`` times in [0, tau], with
+    # the d x k frame evolved as F(t) = V exp(-i E t) V^dag F(0) for the
+    # eigensystem (E, V) = (values, vectors); each chunk of times is one
+    # (chunk, d, k) stack.
+    coeff = vectors.conj().T @ frame  # frame in the eigenbasis
+    times = np.linspace(0.0, tau, samples)
+    max_dyn = 0.0
+    for start in range(0, samples, _TIME_CHUNK):
+        t = times[start:start + _TIME_CHUNK, None]
+        evolved = vectors @ (np.exp(-1j * values * t)[:, :, None] * coeff)
+        block = evolved.conj().swapaxes(1, 2) @ h @ evolved
+        max_dyn = max(max_dyn, float(np.max(np.abs(block))))
+    return max_dyn
+
+
 def evolve_and_project(
     h: np.ndarray,
     logical: SubspaceFrame,
@@ -267,27 +312,37 @@ def evolve_and_project(
 ) -> GateReport:
     """Evolve under constant ``h`` for ``tau`` and project on a logical frame.
 
-    The evolution is sampled at ``samples`` uniformly spaced times; at each
-    the logical block of the Hamiltonian is evaluated in the evolved frame
-    (for a constant Hamiltonian this equals the static block, but the check
-    is run literally).  The projected final operator is returned as the
-    holonomy, together with its unitarity defect, the leakage out of the
-    frame, and, when ``ideal`` is given, the phase-invariant distance to it.
+    The projected final operator is returned as the holonomy, together with
+    its unitarity defect, the leakage out of the frame, and, when ``ideal``
+    is given, the phase-invariant distance to it.
+
+    The parallel-transport check runs literally at ``samples`` uniformly
+    spaced times in ``[0, tau]``: the logical frame is evolved through the
+    eigenbasis of ``h`` to every sampled time at once, as a stack of
+    ``d x k`` frames, and ``max_dynamical_norm`` is the largest magnitude
+    of the logical-block Hamiltonian ``F(t)^dag h F(t)`` over the stack
+    (for a constant Hamiltonian this equals the static block).  The times
+    are processed ``_TIME_CHUNK`` at a time, so memory stays bounded
+    whatever ``samples`` is.
+
+    Raises ``ValueError`` when ``samples`` is below 2 or above
+    ``MAX_TIME_SAMPLES`` (checked before anything is allocated), and when
+    the loop phases ``|E|*tau`` have lost float64 precision (see
+    :func:`require_phase_precision`).
     """
     if samples < 2:
         raise ValueError(f"need at least 2 time samples, got {samples}")
+    if samples > MAX_TIME_SAMPLES:
+        raise ValueError(
+            f"time samples={samples} exceeds MAX_TIME_SAMPLES={MAX_TIME_SAMPLES}"
+        )
     h = np.asarray(h, dtype=complex)
     values, vectors = linalg.eigh(h)
+    require_phase_precision(values, tau)
     u_final = (vectors * np.exp(-1j * values * tau)) @ vectors.conj().T
     holonomy = linalg.project_onto(u_final, logical)
 
-    coeff = vectors.conj().T @ logical.vectors  # frame in the eigenbasis
-    max_dyn = 0.0
-    for t in np.linspace(0.0, tau, samples):
-        evolved = vectors @ (np.exp(-1j * values * t)[:, None] * coeff)
-        block = evolved.conj().T @ h @ evolved
-        max_dyn = max(max_dyn, float(np.max(np.abs(block))))
-
+    max_dyn = _max_logical_block(h, values, vectors, logical.vectors, tau, samples)
     k = holonomy.shape[0]
     cyclicity = float(np.linalg.norm(holonomy.conj().T @ holonomy - np.eye(k)))
     leakage = max(0.0, 1.0 - float(np.linalg.norm(holonomy) ** 2) / k)

@@ -6,11 +6,11 @@ dimension at most 16, so exact dense methods (spectral decompositions,
 explicit Kronecker products) are both fast and accurate; no sparse or
 iterative machinery is used.
 
-Tolerance ladder used throughout the package:
-
-* construction identities (Hermiticity, Gram matrices): 1e-12
-* spectral residuals: 1e-11
-* unitarity and gate matching: 1e-10
+Tolerances are named where they are enforced: ``ATOL_CONSTRUCTION``
+(1e-12, Hermiticity and Gram matrices) below, the ``tol`` arguments of
+``entanglement`` (1e-10 unitarity by default), ``holonomy``'s
+``PHASE_ROUNDOFF_LIMIT`` (1e-9, float64 roundoff of the loop phases) and
+the verification thresholds in ``cli.TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 ATOL_CONSTRUCTION = 1e-12
-ATOL_SPECTRAL = 1e-11
-ATOL_UNITARY = 1e-10
 
 # Eigenvalues closer than this gap are treated as one degenerate cluster.
 DEGENERACY_GAP = 1e-9
@@ -54,13 +52,15 @@ def unitarity_defect(u: np.ndarray) -> float:
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     # First component above a relative threshold is rotated to be real
     # positive; the threshold avoids keying the phase off pure roundoff.
-    out = np.array(vectors, dtype=complex)
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        mags = np.abs(v)
-        pivot = np.flatnonzero(mags > 1e-6 * mags.max())[0]
-        out[:, col] = v * (np.conj(v[pivot]) / mags[pivot])
-    return out
+    # Columns are scaled as contiguous rows of the transpose, each by one
+    # broadcast factor: the arithmetic, and so the bits, of a vector times a
+    # scalar, which a row of per-column factors does not always reproduce.
+    cols = np.array(np.transpose(vectors), dtype=complex, order="C")
+    mags = np.abs(cols)
+    pivot = np.argmax(mags > 1e-6 * mags.max(axis=1, keepdims=True), axis=1)
+    rows = np.arange(len(cols))
+    phases = np.conj(cols[rows, pivot]) / mags[rows, pivot]
+    return np.ascontiguousarray((cols * phases[:, None]).T)
 
 
 def eigh(h: np.ndarray) -> EigenSystem:
@@ -71,11 +71,11 @@ def eigh(h: np.ndarray) -> EigenSystem:
     caller can accidentally rely on intra-cluster ordering details.
 
     Raises ``ValueError`` for non-Hermitian input, reporting the maximal
-    asymmetry.
+    asymmetry (``nan`` for a matrix with non-finite entries).
     """
     h = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(h)
-    if defect > ATOL_CONSTRUCTION:
+    if not defect <= ATOL_CONSTRUCTION:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
             f"{ATOL_CONSTRUCTION:.0e}"

@@ -24,6 +24,7 @@ from .holonomy import (
     analytic_gate_2q,
     evolve_and_project,
     params_for_rotation,
+    require_phase_precision,
 )
 from .spin_model import SubspaceFrame, restrict
 # Bound only for bench/tests/test_bench.py, which checks that tracing patches them here.
@@ -38,11 +39,6 @@ GATE_PRESETS = {
 # Largest sweep grid (steps_per_axis squared) that SweepSpec accepts; the
 # CSV rendering of a grid this size is already about 15 MB.
 MAX_SWEEP_POINTS = 250_000
-
-# Largest float64 roundoff tolerated in the loop phases |E|*tau: the
-# tolerance the gate formula is checked to.
-PHASE_ROUNDOFF_LIMIT = 1e-9
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -219,8 +215,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     ``||Q H P||`` at most the residual-weighted sum of the three terms.
 
     Raises ``ValueError`` when the loop phases ``|E|*tau`` are so large that
-    their float64 roundoff exceeds ``PHASE_ROUNDOFF_LIMIT``.  Rows are
-    indexed by the first axis and the output is deterministic.
+    their float64 roundoff exceeds ``holonomy.PHASE_ROUNDOFF_LIMIT``.  Rows
+    are indexed by the first axis and the output is deterministic.
     """
     axis = sweep_axes(spec)
     g, ideal = _sweep_target(spec)
@@ -234,13 +230,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     leakage = np.empty((n, n))
     for i, d1 in enumerate(strengths):
         values, vectors = np.linalg.eigh(e0 + d1 * e1 + strengths[:, None, None] * e2)
-        roundoff = float(np.max(np.abs(values))) * tau * _EPS
-        if not roundoff <= PHASE_ROUNDOFF_LIMIT:
-            raise ValueError(
-                f"loop phase |E|*tau = {roundoff / _EPS:.3g} at ratio1 = {axis[i]:.6g} "
-                f"leaves float64 roundoff {roundoff:.3g} above the gate tolerance "
-                f"{PHASE_ROUNDOFF_LIMIT:g}; raise ratio_min or lower m"
-            )
+        require_phase_precision(values, tau, where=f" at ratio1 = {axis[i]:.6g}",
+                                remedy="raise ratio_min or lower m")
         rows = vectors[:, logical, :]
         block = (rows * np.exp(-1j * tau * values)[:, None, :]) @ rows.conj().swapaxes(1, 2)
         fidelity[i] = np.clip(gate_fidelity(ideal, block), 0.0, 1.0)

@@ -408,6 +408,28 @@ class TestSweepBoundary:
         err = capsys.readouterr().err
         assert "|E|*tau" in err and "ratio1 = 1e-300" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--gate", "hadamard", "--m", "1000000000000000"],
+        ["synth-1q", "--theta", "1", "--gamma", "3", "--m", "100000000000000000"],
+        ["synth-2q", "--theta-tilde", "0.3", "--m-tilde", "1000000000000001"],
+    ])
+    def test_roundoff_phase_exits_2_outside_sweeps(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "|E|*tau" in captured.err and "lower the winding" in captured.err
+        assert captured.out == ""
+
+    def test_oversized_time_sample_count_exits_2_without_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = run(["synth-1q", "--gate", "hadamard", "--samples", "1000000000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "samples=1000000000000" in capsys.readouterr().err
+        assert peak < 1_000_000
+
     def test_oversized_grid_exits_2_without_allocating(self, capsys):
         tracemalloc.start()
         try:

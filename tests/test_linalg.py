@@ -38,6 +38,15 @@ class TestEigh:
         )
         assert_allclose(values, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_upper_triangle(self, entry):
+        # LAPACK reads only the lower triangle, so a bad upper entry would
+        # otherwise pass unseen into every product with h.
+        h = np.eye(3, dtype=complex)
+        h[0, 2] = entry
+        with pytest.raises(ValueError, match="asymmetry (nan|inf)"):
+            linalg.eigh(h)
+
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="asymmetry"):
