@@ -14,6 +14,8 @@ Exit codes: 0 success, 2 flag/precondition validation, 3 tolerance breach,
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import math
 import os
@@ -170,6 +172,11 @@ def _resolve_1q_target(args) -> tuple[float, float]:
 def _target(args):
     """Loop parameters and ideal gate that the flags select (1q or 2q)."""
     if getattr(args, "theta_tilde", None) is not None:
+        for flag in ("gate", "theta", "gamma"):
+            if getattr(args, flag, None) is not None:
+                raise CommandError(
+                    f"--theta-tilde conflicts with --{flag}", EXIT_VALIDATION
+                )
         params = GateParams2Q(theta_tilde=args.theta_tilde, m_tilde=args.m_tilde,
                               omega_tilde=args.omega_tilde)
         return params, analytic_gate_2q(params.theta_tilde)
@@ -332,6 +339,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _sweep_csv(table) -> str:
+    # One row per grid point, first axis outermost, in a single formatting
+    # pass over plain floats.
+    n = len(table.axis1)
+    columns = np.column_stack([
+        np.repeat(table.axis1, len(table.axis2)),
+        np.tile(table.axis2, n),
+        table.fidelity.ravel(),
+        table.leakage.ravel(),
+    ])
+    rows = "%.12g,%.12g,%.12g,%.12g\n" * len(columns) % tuple(columns.ravel().tolist())
+    return "ratio1,ratio2,fidelity,leakage\n" + rows
+
+
 def cmd_sweep(args) -> int:
     gate = args.gate.replace("-", "_")
     try:
@@ -350,18 +371,21 @@ def cmd_sweep(args) -> int:
         table = run_sweep(spec)
     except ValueError as exc:
         raise CommandError(str(exc), EXIT_VALIDATION)
-    lines = ["ratio1,ratio2,fidelity,leakage"]
-    for i, r1 in enumerate(table.axis1):
-        for j, r2 in enumerate(table.axis2):
-            lines.append(
-                f"{r1:.12g},{r2:.12g},{table.fidelity[i, j]:.12g},"
-                f"{table.leakage[i, j]:.12g}"
-            )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_sweep_csv(table), args.out)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``holodfs`` argument parser.
+
+    The parser is built once per process; each call returns a shallow copy,
+    so attributes set on one returned parser do not reach the next.
+    """
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holodfs",
         description="Holonomic gates in decoherence-free subspaces of XY chains",

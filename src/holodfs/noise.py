@@ -40,6 +40,11 @@ GATE_PRESETS = {
 # CSV rendering of a grid this size is already about 15 MB.
 MAX_SWEEP_POINTS = 250_000
 
+# Grid points diagonalized per stacked eigh call in run_sweep: whole rows,
+# as many as fit (at least one).  A 6-dim sector stack of this size and its
+# eigenvectors take about 0.6 MB each.
+SWEEP_CHUNK_POINTS = 1024
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -47,7 +52,8 @@ class SweepSpec:
 
     Axis values are the dimensionless ratios omega / D_z per bond.  The
     gate target is one of ``hadamard``, ``pi8``, ``custom`` (requires
-    ``theta`` and ``gamma``) or ``two_qubit`` (requires ``theta_tilde``).
+    ``theta`` and ``gamma``) or ``two_qubit`` (requires ``theta_tilde``);
+    a parameter of another target is refused rather than ignored.
     """
 
     gate_target: str
@@ -72,6 +78,13 @@ class SweepSpec:
             raise ValueError("custom gate target requires theta and gamma")
         if self.gate_target == "two_qubit" and self.theta_tilde is None:
             raise ValueError("two_qubit gate target requires theta_tilde")
+        for name, target in (("theta", "custom"), ("gamma", "custom"),
+                             ("theta_tilde", "two_qubit")):
+            if getattr(self, name) is not None and self.gate_target != target:
+                raise ValueError(
+                    f"{name} applies only to the {target} gate target, "
+                    f"not {self.gate_target}"
+                )
         if self.ratio_min <= 0.0:
             raise ValueError(f"ratio_min must be positive, got {self.ratio_min}")
         if self.ratio_min > self.ratio_max:
@@ -209,14 +222,16 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     The perturbed Hamiltonian ``H0 + d1*G1 + d2*G2`` is linear in the DM
     strengths and leaves the fixed-excitation sector invariant, so the three
-    terms are restricted to the sector once and each grid row (fixed first
-    ratio) is diagonalized as one stack of sector Hamiltonians.  Sector
-    leakage is bounded by ``||Q U(tau) P|| <= tau ||Q H P||``, with
-    ``||Q H P||`` at most the residual-weighted sum of the three terms.
+    terms are restricted to the sector once and the grid is diagonalized in
+    stacks of whole rows (fixed first ratio), about ``SWEEP_CHUNK_POINTS``
+    sector Hamiltonians per ``eigh`` call.  Sector leakage is bounded by
+    ``||Q U(tau) P|| <= tau ||Q H P||``, with ``||Q H P||`` at most the
+    residual-weighted sum of the three terms.
 
-    Raises ``ValueError`` when the loop phases ``|E|*tau`` are so large that
-    their float64 roundoff exceeds ``holonomy.PHASE_ROUNDOFF_LIMIT``.  Rows
-    are indexed by the first axis and the output is deterministic.
+    Raises ``ValueError`` naming the first offending row when the loop
+    phases ``|E|*tau`` are so large that their float64 roundoff exceeds
+    ``holonomy.PHASE_ROUNDOFF_LIMIT``.  Rows are indexed by the first axis
+    and the output is deterministic.
     """
     axis = sweep_axes(spec)
     g, ideal = _sweep_target(spec)
@@ -227,14 +242,23 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     strengths = spec.omega / axis
     n = len(axis)
     fidelity = np.empty((n, n))
-    leakage = np.empty((n, n))
-    for i, d1 in enumerate(strengths):
-        values, vectors = np.linalg.eigh(e0 + d1 * e1 + strengths[:, None, None] * e2)
-        require_phase_precision(values, tau, where=f" at ratio1 = {axis[i]:.6g}",
-                                remedy="raise ratio_min or lower m")
+    rows_per_chunk = max(1, SWEEP_CHUNK_POINTS // n)
+    for start in range(0, n, rows_per_chunk):
+        d1 = strengths[start:start + rows_per_chunk]
+        stack = (e0 + d1[:, None, None, None] * e1) + strengths[:, None, None] * e2
+        values, vectors = np.linalg.eigh(stack.reshape(-1, *e0.shape))
+        try:
+            require_phase_precision(values, tau)
+        except ValueError:
+            for i, row_values in enumerate(values.reshape(len(d1), -1), start):
+                require_phase_precision(row_values, tau,
+                                        where=f" at ratio1 = {axis[i]:.6g}",
+                                        remedy="raise ratio_min or lower m")
         rows = vectors[:, logical, :]
         block = (rows * np.exp(-1j * tau * values)[:, None, :]) @ rows.conj().swapaxes(1, 2)
-        fidelity[i] = np.clip(gate_fidelity(ideal, block), 0.0, 1.0)
-        leakage[i] = np.minimum((tau * (r0 + d1 * r1 + strengths * r2)) ** 2, 1.0)
+        fidelity[start:start + len(d1)] = np.clip(
+            gate_fidelity(ideal, block), 0.0, 1.0).reshape(len(d1), n)
+    leakage = np.minimum(
+        (tau * (r0 + strengths[:, None] * r1 + strengths * r2)) ** 2, 1.0)
     return SweepTable(axis1=axis.copy(), axis2=axis.copy(), fidelity=fidelity,
                       leakage=leakage)

@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holodfs import cli
 from holodfs import entanglement as ent
 from holodfs.holonomy import analytic_gate_1q
+from holodfs.noise import SweepSpec, SweepTable, run_sweep
 
 
 def run(argv):
@@ -184,6 +187,17 @@ class TestVerify:
         assert report["mode"] == "2q"
         assert report["pass"] is True
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--gate", "pi8"], "--gate"),
+        (["--theta", "1.0"], "--theta"),
+        (["--gamma", "0.5"], "--gamma"),
+    ])
+    def test_single_qubit_flag_with_theta_tilde_exits_2(self, flags, flag, capsys):
+        assert run(["verify", "--theta-tilde", "0.3"] + flags) == 2
+        captured = capsys.readouterr()
+        assert f"--theta-tilde conflicts with {flag}" in captured.err
+        assert captured.out == ""
+
 
 class TestClassify:
     def test_cnot_file(self, tmp_path):
@@ -351,6 +365,20 @@ class TestSweep:
     def test_single_step_exits_2(self):
         assert run(["sweep", "--gate", "hadamard", "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--gate", "hadamard", "--theta", "1.0"], "theta"),
+        (["--gate", "pi8", "--gamma", "1.0"], "gamma"),
+        (["--gate", "two-qubit", "--theta-tilde", "0.3", "--theta", "1.0"], "theta"),
+        (["--gate", "pi8", "--theta-tilde", "0.3"], "theta_tilde"),
+        (["--gate", "custom", "--theta", "1.0", "--gamma", "1.0",
+          "--theta-tilde", "0.3"], "theta_tilde"),
+    ])
+    def test_flag_of_another_target_exits_2(self, flags, name, capsys):
+        assert run(["sweep", "--steps", "2"] + flags) == 2
+        captured = capsys.readouterr()
+        assert f"holodfs sweep: {name} applies only to the" in captured.err
+        assert captured.out == ""
+
     def test_unwritable_path_exits_4(self):
         code = run(
             [
@@ -375,6 +403,51 @@ class TestSweep:
                 digits = field.split("e")[0].replace("-", "").replace(".", "")
                 significant = digits.lstrip("0")
                 assert len(significant) <= 12
+
+
+def _reference_csv(table):
+    # The row-by-row f-string writer that _sweep_csv replaced.
+    lines = ["ratio1,ratio2,fidelity,leakage"]
+    for i, r1 in enumerate(table.axis1):
+        for j, r2 in enumerate(table.axis2):
+            lines.append(
+                f"{r1:.12g},{r2:.12g},{table.fidelity[i, j]:.12g},"
+                f"{table.leakage[i, j]:.12g}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+_ratios = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+_fidelities = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2**-53]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_leakages = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def _tables(draw):
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    axis1 = np.array(draw(st.lists(_ratios, min_size=n1, max_size=n1)))
+    axis2 = np.array(draw(st.lists(_ratios, min_size=n2, max_size=n2)))
+    fidelity = np.array(draw(st.lists(_fidelities, min_size=n1 * n2, max_size=n1 * n2)))
+    leakage = np.array(draw(st.lists(_leakages, min_size=n1 * n2, max_size=n1 * n2)))
+    return SweepTable(axis1=axis1, axis2=axis2, fidelity=fidelity.reshape(n1, n2),
+                      leakage=leakage.reshape(n1, n2))
+
+
+class TestSweepCsv:
+    @settings(deadline=None, max_examples=200)
+    @given(table=_tables())
+    def test_matches_row_by_row_writer(self, table):
+        assert cli._sweep_csv(table) == _reference_csv(table)
+
+    def test_matches_row_by_row_writer_on_a_real_sweep(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--gate", "two-qubit", "--theta-tilde", "0.6", "--steps", "7"]
+        assert run(argv + ["--out", str(out)]) == 0
+        spec = SweepSpec(gate_target="two_qubit", theta_tilde=0.6, steps_per_axis=7)
+        assert out.read_text() == _reference_csv(run_sweep(spec))
 
 
 class TestSweepBoundary:
@@ -481,3 +554,55 @@ class TestParserContract:
 
     def test_bad_flag_value_exits_2(self):
         assert run(["synth-1q", "--theta", "abc", "--gamma", "1.0"]) == 2
+
+
+class TestParserReuse:
+    # main() reuses one parser per process; no call may see another's values.
+
+    def test_flag_values_do_not_leak_between_calls(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["synth-2q", "--theta-tilde", "0.6", "--mc-samples", "5000",
+                    "--seed", "3", "--out", str(a)]) == 0
+        assert run(["synth-2q", "--theta-tilde", "0.6", "--out", str(b)]) == 0
+        entanglement = json.loads(b.read_text())["entanglement"]
+        assert entanglement["mc_samples"] == 100_000
+        assert entanglement["seed"] == 0
+
+    def test_linear_flag_does_not_leak_into_the_next_sweep(self, tmp_path):
+        linear, default = tmp_path / "lin.csv", tmp_path / "log.csv"
+        base = ["sweep", "--gate", "pi8", "--min", "1", "--max", "100", "--steps", "3"]
+        assert run(base + ["--linear", "--out", str(linear)]) == 0
+        assert run(base + ["--out", str(default)]) == 0
+        axis = [line.split(",")[0] for line in default.read_text().splitlines()[1::3]]
+        assert axis == ["1", "10", "100"]
+        axis = [line.split(",")[0] for line in linear.read_text().splitlines()[1::3]]
+        assert axis == ["1", "50.5", "100"]
+
+    def test_argparse_error_after_a_successful_call(self, tmp_path, capsys):
+        assert run(["sweep", "--gate", "bogus"]) == 2
+        first = capsys.readouterr()
+        assert run(["sweep", "--gate", "pi8", "--steps", "2",
+                    "--out", str(tmp_path / "s.csv")]) == 0
+        capsys.readouterr()
+        assert run(["sweep", "--gate", "bogus"]) == 2
+        second = capsys.readouterr()
+        assert second == first
+        assert second.err.startswith("usage: holodfs sweep [-h] --gate")
+
+    def test_build_parser_returns_a_distinct_parser_each_call(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        calls = []
+        original = first.parse_args
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        first.parse_args = recording
+        first.parse_args(["sweep", "--gate", "pi8"])
+        assert len(calls) == 1
+        third = cli.build_parser()
+        assert "parse_args" not in vars(third)
+        assert third.parse_args(["sweep", "--gate", "pi8"]).gate == "pi8"
+        assert len(calls) == 1

@@ -121,6 +121,17 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="unknown"):
             noise.SweepSpec(gate_target="cz")
 
+    @pytest.mark.parametrize("target, extra, name", [
+        ("hadamard", {"theta": 1.0}, "theta"),
+        ("pi8", {"gamma": 1.0}, "gamma"),
+        ("two_qubit", {"theta_tilde": 0.3, "gamma": 1.0}, "gamma"),
+        ("pi8", {"theta_tilde": 0.3}, "theta_tilde"),
+        ("custom", {"theta": 1.0, "gamma": 1.0, "theta_tilde": 0.3}, "theta_tilde"),
+    ])
+    def test_rejects_parameters_of_another_target(self, target, extra, name):
+        with pytest.raises(ValueError, match=f"^{name} applies only to"):
+            noise.SweepSpec(gate_target=target, **extra)
+
 
 class TestRunSweep:
     def test_hadamard_corner_monotonicity(self):

@@ -2,10 +2,13 @@
 
 ``perturbed_gate_1q`` / ``perturbed_gate_2q`` build the 8/16-dim Hamiltonian
 point by point and measure sector leakage with a full-space evolution; they
-are the independent oracle for every grid cell the kernel produces.
+are the independent oracle for every grid cell the kernel produces.  The
+multi-row stacks are also checked bit for bit against one ``eigh`` per row.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holodfs import noise, spin_model
-from holodfs.holonomy import GateParams2Q, analytic_gate_1q, params_for_rotation
+from holodfs.holonomy import (
+    GateParams2Q,
+    analytic_gate_1q,
+    params_for_rotation,
+    require_phase_precision,
+)
 from holodfs.spin_model import pauli_on
 
 FIDELITY_TOL = 1e-12
@@ -113,3 +121,133 @@ def test_spec_rejects_grid_over_cap():
     with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
         noise.SweepSpec(gate_target="hadamard", steps_per_axis=steps)
     noise.SweepSpec(gate_target="hadamard", steps_per_axis=steps - 1)
+
+
+def _row_by_row(spec):
+    # run_sweep with one stacked eigh per grid row: the kernel before rows
+    # were stacked together, kept as the bit-for-bit reference.
+    axis = noise.sweep_axes(spec)
+    g, ideal = noise._sweep_target(spec)
+    sector, logical_frame = g.frames()
+    (e0, e1, e2), (r0, r1, r2) = zip(*(spin_model.restrict(t, sector) for t in g.terms()))
+    logical = [sector.labels.index(label) for label in logical_frame.labels]
+    tau = g.tau
+    strengths = spec.omega / axis
+    n = len(axis)
+    fidelity = np.empty((n, n))
+    leakage = np.empty((n, n))
+    for i, d1 in enumerate(strengths):
+        values, vectors = np.linalg.eigh(e0 + d1 * e1 + strengths[:, None, None] * e2)
+        require_phase_precision(values, tau, where=f" at ratio1 = {axis[i]:.6g}",
+                                remedy="raise ratio_min or lower m")
+        rows = vectors[:, logical, :]
+        block = (rows * np.exp(-1j * tau * values)[:, None, :]) @ rows.conj().swapaxes(1, 2)
+        fidelity[i] = np.clip(noise.gate_fidelity(ideal, block), 0.0, 1.0)
+        leakage[i] = np.minimum((tau * (r0 + d1 * r1 + strengths * r2)) ** 2, 1.0)
+    return fidelity, leakage
+
+
+def _assert_equals_row_by_row(spec):
+    table = noise.run_sweep(spec)
+    fidelity, leakage = _row_by_row(spec)
+    assert np.array_equal(table.fidelity, fidelity)
+    assert np.array_equal(table.leakage, leakage)
+
+
+_TARGETS = [
+    {"gate_target": "hadamard"},
+    {"gate_target": "custom", "theta": 1.2, "gamma": 3.0, "m": 2},
+    {"gate_target": "two_qubit", "theta_tilde": 0.6},
+    {"gate_target": "two_qubit", "theta_tilde": 0.3, "m": 3},
+]
+
+
+# With SWEEP_CHUNK_POINTS = 1024: one chunk up to 32 steps, one exactly full
+# at 32, then 2, 3 and 5 chunks with a short last one.
+@pytest.mark.parametrize("steps", [2, 31, 32, 33, 45, 70])
+@pytest.mark.parametrize("log_scale", [True, False])
+@pytest.mark.parametrize("target", _TARGETS, ids=lambda t: t["gate_target"] + str(t.get("m", 1)))
+def test_chunks_equal_row_by_row_at_fixed_steps(steps, log_scale, target):
+    _assert_equals_row_by_row(noise.SweepSpec(
+        ratio_min=0.7, ratio_max=400.0, steps_per_axis=steps, log_scale=log_scale, **target))
+
+
+@settings(deadline=None, max_examples=40)
+@given(target=st.sampled_from(_TARGETS), steps=st.integers(2, 40),
+       log_scale=st.booleans(), chunk=st.integers(1, 200),
+       lo=st.floats(0.5, 5.0), span=st.floats(1.0, 300.0))
+def test_chunks_equal_row_by_row(target, steps, log_scale, chunk, lo, span):
+    # Small caps put grids below, at and across the cap, down to one row per
+    # stack when a row alone is longer than the cap.
+    spec = noise.SweepSpec(ratio_min=lo, ratio_max=lo * span, steps_per_axis=steps,
+                           log_scale=log_scale, **target)
+    with mock.patch.object(noise, "SWEEP_CHUNK_POINTS", chunk):
+        _assert_equals_row_by_row(spec)
+
+
+@pytest.mark.parametrize("steps", [3, 33, 45])
+def test_nonzero_leakage_bound_equals_row_by_row(steps, monkeypatch):
+    # A transverse field on every term makes all three residuals nonzero, so
+    # the broadcast bound is compared where its summation order matters.
+    build_h1 = spin_model.build_h1
+    field = 1e-3 * pauli_on(3, 0, "x")
+    monkeypatch.setattr(spin_model, "build_h1", lambda p: build_h1(p) + field)
+    spec = noise.SweepSpec(gate_target="hadamard", ratio_min=2.0, ratio_max=50.0,
+                           steps_per_axis=steps)
+    assert np.all(noise.run_sweep(spec).leakage > 0.0)
+    _assert_equals_row_by_row(spec)
+
+
+def test_fifty_by_fifty_sweep_makes_three_eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    noise.run_sweep(noise.SweepSpec(gate_target="hadamard", steps_per_axis=50))
+    assert calls == [(1000, 3, 3), (1000, 3, 3), (500, 3, 3)]
+
+
+def test_phase_roundoff_names_the_row_of_the_reference():
+    spec = noise.SweepSpec(gate_target="hadamard", ratio_min=1e-300, steps_per_axis=40)
+    with pytest.raises(ValueError) as reference:
+        _row_by_row(spec)
+    with pytest.raises(ValueError) as chunked:
+        noise.run_sweep(spec)
+    assert str(chunked.value) == str(reference.value)
+    assert "ratio1 = 1e-300" in str(chunked.value)
+
+
+def test_phase_roundoff_names_the_first_offending_row_in_a_later_chunk(monkeypatch):
+    # A guard that refuses the eigenvalues of one chosen row: run_sweep must
+    # locate that row inside its chunk (45 steps give chunks of 22 rows).
+    spec = noise.SweepSpec(gate_target="pi8", steps_per_axis=45)
+    g, _ = noise._sweep_target(spec)
+    sector, _ = g.frames()
+    e0, e1, e2 = (spin_model.restrict(t, sector)[0] for t in g.terms())
+    strengths = spec.omega / noise.sweep_axes(spec)
+    bad_row = 30
+    marker = np.linalg.eigh(e0 + strengths[bad_row] * e1 + strengths[7] * e2)[0][0]
+
+    def guard(values, tau, where="", remedy=""):
+        if np.any(values == marker):
+            raise ValueError(f"refused{where}")
+
+    monkeypatch.setattr(noise, "require_phase_precision", guard)
+    with pytest.raises(ValueError, match="^refused at ratio1 = ") as refused:
+        noise.run_sweep(spec)
+    assert str(refused.value) == f"refused at ratio1 = {noise.sweep_axes(spec)[bad_row]:.6g}"
+
+
+def test_two_hundred_step_two_qubit_sweep_stays_small():
+    spec = noise.SweepSpec(gate_target="two_qubit", theta_tilde=0.6, steps_per_axis=200)
+    tracemalloc.start()
+    try:
+        noise.run_sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
