@@ -23,15 +23,7 @@ import sys
 
 import numpy as np
 
-from .entanglement import (
-    classify_gate,
-    entangling_power_analytic,
-    entangling_power_mc,
-    is_cnot_point,
-    local_invariants,
-    require_mc_samples,
-    weyl_coordinates,
-)
+from .entanglement import classify_gate, entangling_power_analytic, require_mc_samples
 from .linalg import unitarity_defect
 from .holonomy import (
     GateParams2Q,
@@ -169,21 +161,33 @@ def _resolve_1q_target(args) -> tuple[float, float]:
     return args.theta, args.gamma
 
 
+def _given(args, *flags) -> dict:
+    # The flags among ``flags`` that the command line set, by name.
+    return {flag: getattr(args, flag) for flag in flags
+            if getattr(args, flag, None) is not None}
+
+
 def _target(args):
-    """Loop parameters and ideal gate that the flags select (1q or 2q)."""
+    """Loop parameters and ideal gate that the flags select (1q or 2q).
+
+    ``--theta-tilde`` selects the two-qubit loop.  Flags of the other loop
+    are refused; windings and energy scales left unset take the defaults of
+    ``GateParams2Q`` and ``params_for_rotation``.
+    """
     if getattr(args, "theta_tilde", None) is not None:
-        for flag in ("gate", "theta", "gamma"):
-            if getattr(args, flag, None) is not None:
-                raise CommandError(
-                    f"--theta-tilde conflicts with --{flag}", EXIT_VALIDATION
-                )
-        params = GateParams2Q(theta_tilde=args.theta_tilde, m_tilde=args.m_tilde,
-                              omega_tilde=args.omega_tilde)
+        for flag in _given(args, "gate", "theta", "gamma", "m", "omega"):
+            raise CommandError(f"--theta-tilde conflicts with --{flag}", EXIT_VALIDATION)
+        params = GateParams2Q(theta_tilde=args.theta_tilde,
+                              **_given(args, "m_tilde", "omega_tilde"))
         return params, analytic_gate_2q(params.theta_tilde)
+    for flag in _given(args, "m_tilde", "omega_tilde"):
+        raise CommandError(
+            f"--{flag.replace('_', '-')} applies only with --theta-tilde", EXIT_VALIDATION
+        )
     theta, gamma = _resolve_1q_target(args)
     # The ideal comes from the requested angles: params.gamma went through
     # acos and can differ from gamma in its last bits.
-    params = params_for_rotation(theta, gamma, m=args.m, omega=args.omega)
+    params = params_for_rotation(theta, gamma, **_given(args, "m", "omega"))
     return params, analytic_gate_1q(theta, gamma)
 
 
@@ -222,9 +226,8 @@ def cmd_synth_2q(args) -> int:
     params, ideal = _target(args)
     effective, full = _runs(params, ideal, args.samples)
     couplings = params.couplings()
-    g1, g2 = local_invariants(full.holonomy)
-    weyl = weyl_coordinates(full.holonomy)
-    ep_mc, ep_stderr = entangling_power_mc(full.holonomy, args.mc_samples, args.seed)
+    report = classify_gate(full.holonomy, ep_samples=args.mc_samples, seed=args.seed,
+                           cnot_tol=TOLERANCES["cnot_weyl"])
     payload = {
         "command": "synth-2q",
         "params": {
@@ -238,15 +241,15 @@ def cmd_synth_2q(args) -> int:
         "effective": _report_block(effective),
         "full": _report_block(full),
         "entanglement": {
-            "g1": g1,
-            "g2": g2,
-            "weyl": list(weyl),
+            "g1": report.g1,
+            "g2": report.g2,
+            "weyl": list(report.weyl),
             "ep": entangling_power_analytic(params.theta_tilde),
-            "ep_mc": ep_mc,
-            "ep_mc_stderr": ep_stderr,
+            "ep_mc": report.ep,
+            "ep_mc_stderr": report.ep_stderr,
             "mc_samples": args.mc_samples,
             "seed": args.seed,
-            "cnot_equivalent": is_cnot_point(weyl, TOLERANCES["cnot_weyl"]),
+            "cnot_equivalent": report.cnot_equivalent,
         },
         "tolerances": TOLERANCES,
     }
@@ -397,8 +400,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="preset single-qubit target")
         p.add_argument("--theta", type=float, help="rotation axis angle in [0, pi]")
         p.add_argument("--gamma", type=float, help="rotation angle in [0, 2*m*pi]")
-        p.add_argument("--m", type=int, default=1, help="winding integer")
-        p.add_argument("--omega", type=float, default=1.0, help="energy scale")
+        p.add_argument("--m", type=int, help="winding integer")
+        p.add_argument("--omega", type=float, help="energy scale")
 
     def add_common(p):
         p.add_argument("--samples", type=int, default=101,
@@ -413,8 +416,8 @@ def _parser() -> argparse.ArgumentParser:
     s2 = sub.add_parser("synth-2q", help="synthesize, verify and classify a two-qubit gate")
     s2.add_argument("--theta-tilde", type=float, required=True,
                     help="coupling-ratio angle in (0, pi/2)")
-    s2.add_argument("--m-tilde", type=int, default=1, help="odd winding integer")
-    s2.add_argument("--omega-tilde", type=float, default=1.0, help="energy scale")
+    s2.add_argument("--m-tilde", type=int, help="odd winding integer")
+    s2.add_argument("--omega-tilde", type=float, help="energy scale")
     s2.add_argument("--mc-samples", type=int, default=100_000,
                     help="Monte-Carlo samples for the entangling power")
     s2.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
@@ -425,8 +428,8 @@ def _parser() -> argparse.ArgumentParser:
     add_1q_target(v)
     v.add_argument("--theta-tilde", type=float,
                    help="two-qubit coupling-ratio angle (selects 2q mode)")
-    v.add_argument("--m-tilde", type=int, default=1, help="odd winding integer")
-    v.add_argument("--omega-tilde", type=float, default=1.0, help="energy scale")
+    v.add_argument("--m-tilde", type=int, help="odd winding integer")
+    v.add_argument("--omega-tilde", type=float, help="energy scale")
     add_common(v)
     v.set_defaults(func=cmd_verify)
 

@@ -16,7 +16,10 @@ al. (PRA 68, 052311 (2003)).  Conventions that the numbers depend on:
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +46,17 @@ _COORD_MIX = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
 
 CNOT_POINT = (math.pi / 2, 0.0, 0.0)
 
-# Largest Monte-Carlo sample count: the draws take 64 bytes per sample, so
-# the cap bounds them at 640 MB.
+# Largest Monte-Carlo sample count: the entropy vector takes 8 bytes per
+# sample, so the cap bounds it at 80 MB; the draws live only per block.
 MAX_MC_SAMPLES = 10_000_000
-# Rows per chunk of the Monte-Carlo kernel: each complex temporary of a
-# chunk is 0.5 MB at most, so a chunk's working set stays in cache.
+# Samples per block of the Monte-Carlo kernel, each with its own random
+# stream: a block's draws are 0.5 MB and each complex temporary 128 kB, so
+# a block's working set stays in cache.
 _MC_CHUNK = 8192
+# det m = (1/2) psi^T _OMEGA psi for the amplitudes psi of a two-qubit state.
+_OMEGA = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
+# Sums the (p, q) entries of a 2x2 coefficient array by monomial a_p a_q.
+_MONOMIALS = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,14 @@ def weyl_coordinates(u: np.ndarray, tol: float = 1e-10) -> tuple[float, float, f
     against the Makhlin invariants guards the phase unwrapping and raises if
     it cannot be trusted.
     """
-    u = require_unitary(u, tol)
+    invariants = local_invariants(u, tol)
+    return _weyl_coordinates(np.asarray(u, dtype=complex), invariants)
+
+
+def _weyl_coordinates(
+    u: np.ndarray, invariants: tuple[complex, float]
+) -> tuple[float, float, float]:
+    # weyl_coordinates of a checked unitary whose local invariants are given.
     u_tilde = _SYSY @ u.T @ _SYSY
     ev = np.linalg.eigvals(u @ u_tilde / np.sqrt(np.linalg.det(u).astype(complex)))
     two_s = np.angle(ev) / math.pi
@@ -135,7 +150,7 @@ def weyl_coordinates(u: np.ndarray, tol: float = 1e-10) -> tuple[float, float, f
         math.pi * abs(float(c2)),
         math.pi * abs(float(c3)),
     )
-    g1_direct, g2_direct = local_invariants(u, tol)
+    g1_direct, g2_direct = invariants
     g1_chamber, g2_chamber = _invariants_from_weyl(*coords)
     mismatch = abs(g1_direct - g1_chamber) + abs(g2_direct - g2_chamber)
     if mismatch > 1e-7:
@@ -160,42 +175,109 @@ def require_mc_samples(samples: int) -> None:
         )
 
 
+def _mc_workers() -> int:
+    """Threads for the Monte-Carlo estimator: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _det_coefficients(u: np.ndarray) -> list[list[complex]]:
+    # det psi = psi_0 psi_3 - psi_1 psi_2 = (1/2) x^T K x for psi = u x and
+    # K = u^T Omega u.  With x = a (x) b, grouping the terms of x^T K x by
+    # the monomials m_a = (a0^2, a0 a1, a1^2) and m_b = (b0^2, b0 b1, b1^2)
+    # gives det psi = m_a^T C m_b with the 3x3 matrix C returned here.
+    k = (u.T @ _OMEGA @ u).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return (0.5 * _MONOMIALS @ k @ _MONOMIALS.T).tolist()
+
+
+def _mc_block(c: list[list[complex]], rng: np.random.Generator, out: np.ndarray) -> None:
+    # Linear entropies of len(out) product inputs drawn from rng, written to
+    # out.  Elementwise ufuncs only: they release the GIL and call no BLAS.
+    draws = rng.standard_normal((4, 2 * len(out))).view(complex)
+    a0, a1, b0, b1 = draws
+    m_b = (b0 * b0, b0 * b1, b1 * b1)
+    det = np.zeros(len(out), dtype=complex)
+    for m_a, row in zip((a0 * a0, a0 * a1, a1 * a1), c):
+        w = row[0] * m_b[0]
+        w += row[1] * m_b[1]
+        w += row[2] * m_b[2]
+        w *= m_a
+        det += w
+    sq = draws.real**2 + draws.imag**2
+    norm = (sq[0] + sq[1]) * (sq[2] + sq[3])
+    np.divide(2.0 * (det.real**2 + det.imag**2), norm**2, out=out)
+
+
+def _in_threads(task, workers: int) -> None:
+    # task() runs here and on workers - 1 threads of its own, all joined
+    # before return; the first error is re-raised.
+    errors = []
+
+    def guarded():
+        try:
+            task()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded) for _ in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        guarded()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def entangling_power_mc(
     u: np.ndarray, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo entangling power: mean linear entropy over product inputs.
 
     Draws ``samples`` pairs of independent Haar-random single-qubit states
-    ``a``, ``b`` (complex Gaussians, left unnormalized), applies ``u`` and
-    averages the linear entropy of the reduced output state.  For a normalized
-    pure two-qubit state with 2x2 amplitude matrix ``m`` the linear entropy is
-    ``1 - tr(rho_1^2) = 2 |det m|^2``, so with ``psi = u (a (x) b)`` each
-    sample is ``2 |psi_0 psi_3 - psi_1 psi_2|^2 / (|a|^2 |b|^2)^2``.  The
-    draws are processed in chunks of ``_MC_CHUNK`` rows to keep the
-    temporaries in cache.  Returns the estimate and its standard error;
-    fixed ``seed`` gives bit-identical results.  ``samples`` must lie in
-    [1000, ``MAX_MC_SAMPLES``], checked before anything is allocated.
+    ``a``, ``b`` (complex Gaussians, normalized in the entropy), applies
+    ``u`` and averages the linear entropy of the reduced output state.  For
+    a normalized pure two-qubit state with 2x2 amplitude matrix ``m`` the
+    linear entropy is ``1 - tr(rho_1^2) = 2 |det m|^2``; for
+    ``psi = u (a (x) b)``, ``det m = m_a^T C m_b`` with the monomials
+    ``m_a = (a0^2, a0 a1, a1^2)``, ``m_b`` likewise and a 3x3 matrix ``C``
+    built once from ``u``, so each sample is
+    ``2 |m_a^T C m_b|^2 / (|a|^2 |b|^2)^2`` (exactly 0 for the identity).
+
+    The samples form blocks of ``_MC_CHUNK``; block ``i`` draws
+    ``standard_normal((4, 2 n))``, read as the complex rows ``a0, a1, b0,
+    b1``, from its own stream ``SeedSequence(seed).spawn(n_blocks)[i]``.
+    The blocks run on up to ``_mc_workers()`` threads, and the mean and the
+    standard error ``std(ddof=1) / sqrt(samples)`` are taken over the whole
+    entropy vector afterwards, so the result depends only on
+    ``(u, samples, seed)``, not on the thread count, and a fixed ``seed``
+    gives bit-identical results.  ``samples`` must lie in [1000,
+    ``MAX_MC_SAMPLES``], checked before anything is allocated.
     """
     require_mc_samples(samples)
-    u = np.asarray(u, dtype=complex)
-    rng = np.random.default_rng(seed)
-    re = rng.standard_normal((2, samples, 2))
-    im = rng.standard_normal((2, samples, 2))
+    c = _det_coefficients(np.asarray(u, dtype=complex))
+    n_blocks = -(-samples // _MC_CHUNK)
+    streams = np.random.SeedSequence(seed).spawn(n_blocks)
     entropy = np.empty(samples)
-    # (state, component, sample) layout, so every elementwise pass runs
-    # along the long sample axis.
-    amps = np.empty((2, 2, min(samples, _MC_CHUNK)), dtype=complex)
-    for start in range(0, samples, _MC_CHUNK):
-        n = min(_MC_CHUNK, samples - start)
-        rows = slice(start, start + n)
-        ab = amps[:, :, :n]
-        ab.real = re[:, rows].transpose(0, 2, 1)
-        ab.imag = im[:, rows].transpose(0, 2, 1)
-        psi = u @ (ab[0, :, None] * ab[1, None, :]).reshape(4, n)
-        det = psi[0] * psi[3] - psi[1] * psi[2]
-        sq = ab.real**2 + ab.imag**2
-        norm = (sq[0, 0] + sq[0, 1]) * (sq[1, 0] + sq[1, 1])
-        entropy[rows] = 2.0 * (det.real**2 + det.imag**2) / norm**2
+    # Each thread takes the next block as it finishes one, so a thread that
+    # gets less CPU time leaves its share to the others.
+    next_block = itertools.count()
+    lock = threading.Lock()
+
+    def run():
+        while True:
+            with lock:
+                i = next(next_block)
+            if i >= n_blocks:
+                return
+            block = entropy[i * _MC_CHUNK:(i + 1) * _MC_CHUNK]
+            _mc_block(c, np.random.default_rng(streams[i]), block)
+
+    _in_threads(run, min(_mc_workers(), n_blocks))
     estimate = float(entropy.mean())
     stderr = float(entropy.std(ddof=1) / math.sqrt(samples))
     return estimate, stderr
@@ -225,7 +307,7 @@ def classify_gate(
     input.
     """
     g1, g2 = local_invariants(u, tol)
-    weyl = weyl_coordinates(u, tol)
+    weyl = _weyl_coordinates(np.asarray(u, dtype=complex), (g1, g2))
     ep, stderr = entangling_power_mc(u, ep_samples, seed)
     return EntanglementReport(
         g1=g1,

@@ -198,6 +198,33 @@ class TestVerify:
         assert f"--theta-tilde conflicts with {flag}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--theta-tilde", "0.5", "--m", "2", "--omega", "3"],
+         "--theta-tilde conflicts with --m"),
+        (["--theta-tilde", "0.5", "--m", "1"], "--theta-tilde conflicts with --m"),
+        (["--theta-tilde", "0.5", "--omega", "1.0"], "--theta-tilde conflicts with --omega"),
+        (["--gate", "pi8", "--m-tilde", "3"], "--m-tilde applies only with --theta-tilde"),
+        (["--gate", "pi8", "--m-tilde", "1"], "--m-tilde applies only with --theta-tilde"),
+        (["--theta", "1.0", "--gamma", "0.5", "--omega-tilde", "2"],
+         "--omega-tilde applies only with --theta-tilde"),
+    ])
+    def test_flag_of_the_other_loop_exits_2(self, flags, message, capsys):
+        assert run(["verify"] + flags) == 2
+        captured = capsys.readouterr()
+        assert f"holodfs verify: {message}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("explicit, implicit", [
+        (["--gate", "pi8", "--m", "1", "--omega", "1.0"], ["--gate", "pi8"]),
+        (["--theta-tilde", "0.6", "--m-tilde", "1", "--omega-tilde", "1.0"],
+         ["--theta-tilde", "0.6"]),
+    ])
+    def test_unset_winding_and_scale_default_to_one(self, explicit, implicit, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["verify"] + explicit + ["--out", str(a)]) == 0
+        assert run(["verify"] + implicit + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestClassify:
     def test_cnot_file(self, tmp_path):
@@ -274,6 +301,34 @@ class TestClassify:
         assert "non-finite" in capsys.readouterr().err
 
 
+class TestInvariantsOnce:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "MATRIX", "--samples", "1000"],
+        ["synth-2q", "--theta-tilde", "0.7", "--mc-samples", "1000", "--samples", "2"],
+    ])
+    def test_local_invariants_run_once_per_command(self, argv, tmp_path, monkeypatch):
+        matrix_path = tmp_path / "cnot.json"
+        write_matrix(matrix_path, CNOT)
+        calls = []
+        invariants = ent.local_invariants
+        for module in (ent, cli):  # every binding, as the bench tracer patches them
+            if hasattr(module, "local_invariants"):
+                monkeypatch.setattr(module, "local_invariants",
+                                    lambda *a, **k: calls.append(1) or invariants(*a, **k))
+        argv = [str(matrix_path) if a == "MATRIX" else a for a in argv]
+        assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_classify_gate_matches_the_public_functions(self, index):
+        rng = np.random.default_rng(40 + index)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u = np.linalg.qr(z)[0]
+        report = ent.classify_gate(u, ep_samples=1000)
+        assert (report.g1, report.g2) == ent.local_invariants(u)
+        assert report.weyl == ent.weyl_coordinates(u)
+
+
 class TestMonteCarloCap:
     @pytest.mark.parametrize(
         "argv",
@@ -298,7 +353,7 @@ class TestMonteCarloCap:
         err = capsys.readouterr().err
         assert "samples=100000000000" in err
         assert f"MAX_MC_SAMPLES={ent.MAX_MC_SAMPLES}" in err
-        # The draws alone would be 6.4 TB.
+        # The entropy vector alone would be 0.8 TB.
         assert peak < 1_000_000
 
 
