@@ -23,7 +23,12 @@ import sys
 
 import numpy as np
 
-from .entanglement import classify_gate, entangling_power_analytic, require_mc_samples
+from .entanglement import (
+    classify_gate,
+    entangling_power_analytic,
+    require_mc_samples,
+    require_mc_seed,
+)
 from .linalg import unitarity_defect
 from .holonomy import (
     GateParams2Q,
@@ -223,6 +228,7 @@ def cmd_synth_1q(args) -> int:
 
 def cmd_synth_2q(args) -> int:
     require_mc_samples(args.mc_samples)
+    require_mc_seed(args.seed)
     params, ideal = _target(args)
     effective, full = _runs(params, ideal, args.samples)
     couplings = params.couplings()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -47,11 +48,14 @@ _COORD_MIX = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
 CNOT_POINT = (math.pi / 2, 0.0, 0.0)
 
 # Largest Monte-Carlo sample count: the entropy vector takes 8 bytes per
-# sample, so the cap bounds it at 80 MB; the draws live only per block.
+# sample, so the cap bounds it at 80 MB.  The standard error is taken in
+# place in that vector and the draws live only per block, so the estimator
+# needs no second samples-sized array.
 MAX_MC_SAMPLES = 10_000_000
 # Samples per block of the Monte-Carlo kernel, each with its own random
-# stream: a block's draws are 0.5 MB and each complex temporary 128 kB, so
-# a block's working set stays in cache.
+# stream: a block's uniform draws are 0.34 MB, its 16,384 disk points
+# 0.25 MB and each per-sample complex temporary 128 kB, so a block's working
+# set stays in cache.
 _MC_CHUNK = 8192
 # det m = (1/2) psi^T _OMEGA psi for the amplitudes psi of a two-qubit state.
 _OMEGA = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
@@ -175,6 +179,17 @@ def require_mc_samples(samples: int) -> None:
         )
 
 
+def require_mc_seed(seed: int) -> None:
+    """Refuse a Monte-Carlo seed that is not a non-negative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"Monte-Carlo seed must be a non-negative integer, got {seed}")
+
+
+def _require_cnot_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"CNOT tolerance must be finite and non-negative, got {tol}")
+
+
 def _mc_workers() -> int:
     """Threads for the Monte-Carlo estimator: the CPUs this process may use."""
     try:
@@ -192,22 +207,42 @@ def _det_coefficients(u: np.ndarray) -> list[list[complex]]:
     return (0.5 * _MONOMIALS @ k @ _MONOMIALS.T).tolist()
 
 
+def _disk_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    # count complex points uniform in the open unit disk, by rejection from
+    # the square [-1, 1)^2 (acceptance pi/4).  Each round draws 4/3 of the
+    # shortfall plus 64 candidates, so a block's 16,384 points need a second
+    # round only on a 13-sigma shortfall; the result depends only on the
+    # stream.
+    rounds = []
+    shortfall = count
+    while shortfall:
+        z = 2.0 * rng.random(2 * (shortfall * 4 // 3 + 64)).view(complex) - (1 + 1j)
+        rounds.append(z[z.real * z.real + z.imag * z.imag < 1.0][:shortfall])
+        shortfall -= len(rounds[-1])
+    return rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
+
+
 def _mc_block(c: list[list[complex]], rng: np.random.Generator, out: np.ndarray) -> None:
     # Linear entropies of len(out) product inputs drawn from rng, written to
-    # out.  Elementwise ufuncs only: they release the GIL and call no BLAS.
-    draws = rng.standard_normal((4, 2 * len(out))).view(complex)
-    a0, a1, b0, b1 = draws
-    m_b = (b0 * b0, b0 * b1, b1 * b1)
-    det = np.zeros(len(out), dtype=complex)
-    for m_a, row in zip((a0 * a0, a0 * a1, a1 * a1), c):
+    # out.  Of 2 len(out) disk points z, the first half are the a inputs and
+    # the second half the b inputs; each is the normalised qubit
+    # (sqrt(1 - |z|^2), z), Haar up to a global phase, with the monomials
+    # (1 - |z|^2, sqrt(1 - |z|^2) z, z^2).  Elementwise ufuncs only: they
+    # release the GIL and call no BLAS.
+    n = len(out)
+    z = _disk_points(rng, 2 * n)
+    r = 1.0 - (z.real * z.real + z.imag * z.imag)
+    monomials = (r, np.sqrt(r) * z, z * z)
+    m_a = [m[:n] for m in monomials]
+    m_b = [m[n:] for m in monomials]
+    det = np.zeros(n, dtype=complex)
+    for m, row in zip(m_a, c):
         w = row[0] * m_b[0]
         w += row[1] * m_b[1]
         w += row[2] * m_b[2]
-        w *= m_a
+        w *= m
         det += w
-    sq = draws.real**2 + draws.imag**2
-    norm = (sq[0] + sq[1]) * (sq[2] + sq[3])
-    np.divide(2.0 * (det.real**2 + det.imag**2), norm**2, out=out)
+    np.multiply(det.real * det.real + det.imag * det.imag, 2.0, out=out)
 
 
 def _in_threads(task, workers: int) -> None:
@@ -239,26 +274,32 @@ def entangling_power_mc(
     """Monte-Carlo entangling power: mean linear entropy over product inputs.
 
     Draws ``samples`` pairs of independent Haar-random single-qubit states
-    ``a``, ``b`` (complex Gaussians, normalized in the entropy), applies
-    ``u`` and averages the linear entropy of the reduced output state.  For
-    a normalized pure two-qubit state with 2x2 amplitude matrix ``m`` the
+    ``a``, ``b``, applies ``u`` and averages the linear entropy of the
+    reduced output state.  Each qubit is ``(sqrt(1 - |z|^2), z)`` with ``z``
+    uniform in the open unit disk: for a Haar qubit ``|a1|^2`` is uniform
+    on [0, 1] and the relative phase uniform and independent, which is the
+    law of ``z``, and the global phase does not change the entropy.  For a
+    normalized pure two-qubit state with 2x2 amplitude matrix ``m`` the
     linear entropy is ``1 - tr(rho_1^2) = 2 |det m|^2``; for
     ``psi = u (a (x) b)``, ``det m = m_a^T C m_b`` with the monomials
     ``m_a = (a0^2, a0 a1, a1^2)``, ``m_b`` likewise and a 3x3 matrix ``C``
-    built once from ``u``, so each sample is
-    ``2 |m_a^T C m_b|^2 / (|a|^2 |b|^2)^2`` (exactly 0 for the identity).
+    built once from ``u``, so each sample is ``2 |m_a^T C m_b|^2`` (exactly
+    0 for the identity).
 
-    The samples form blocks of ``_MC_CHUNK``; block ``i`` draws
-    ``standard_normal((4, 2 n))``, read as the complex rows ``a0, a1, b0,
-    b1``, from its own stream ``SeedSequence(seed).spawn(n_blocks)[i]``.
-    The blocks run on up to ``_mc_workers()`` threads, and the mean and the
+    The samples form blocks of ``_MC_CHUNK``; block ``i`` of ``n`` samples
+    draws ``2 n`` disk points, by rejection from uniforms in the square,
+    from its own stream ``SeedSequence(seed).spawn(n_blocks)[i]``: the
+    first ``n`` are the ``a`` inputs, the rest the ``b`` inputs.  The
+    blocks run on up to ``_mc_workers()`` threads, and the mean and the
     standard error ``std(ddof=1) / sqrt(samples)`` are taken over the whole
-    entropy vector afterwards, so the result depends only on
-    ``(u, samples, seed)``, not on the thread count, and a fixed ``seed``
-    gives bit-identical results.  ``samples`` must lie in [1000,
-    ``MAX_MC_SAMPLES``], checked before anything is allocated.
+    entropy vector afterwards (the deviations in place, with numpy's own
+    arithmetic), so the result depends only on ``(u, samples, seed)``, not
+    on the thread count, and a fixed ``seed`` gives bit-identical results.
+    ``samples`` must lie in [1000, ``MAX_MC_SAMPLES``] and ``seed`` must be
+    a non-negative integer, both checked before anything is allocated.
     """
     require_mc_samples(samples)
+    require_mc_seed(seed)
     c = _det_coefficients(np.asarray(u, dtype=complex))
     n_blocks = -(-samples // _MC_CHUNK)
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -278,13 +319,19 @@ def entangling_power_mc(
             _mc_block(c, np.random.default_rng(streams[i]), block)
 
     _in_threads(run, min(_mc_workers(), n_blocks))
-    estimate = float(entropy.mean())
-    stderr = float(entropy.std(ddof=1) / math.sqrt(samples))
-    return estimate, stderr
+    estimate = entropy.mean()
+    # std(ddof=1) without its samples-sized temporary: the same operations
+    # in the same order, so the same bits.
+    entropy -= estimate
+    entropy *= entropy
+    stderr = math.sqrt(entropy.sum() / (samples - 1)) / math.sqrt(samples)
+    return float(estimate), stderr
 
 
 def is_cnot_point(weyl: tuple[float, float, float], tol: float) -> bool:
-    """Whether a Weyl point lies within ``tol`` of L = (pi/2, 0, 0) in every coordinate."""
+    """Whether a Weyl point lies within ``tol`` of L = (pi/2, 0, 0) in every
+    coordinate; ``tol`` must be finite and non-negative."""
+    _require_cnot_tol(tol)
     return all(abs(c - ref) <= tol for c, ref in zip(weyl, CNOT_POINT))
 
 
@@ -302,10 +349,11 @@ def classify_gate(
 ) -> EntanglementReport:
     """Full classification of an arbitrary two-qubit unitary.
 
-    ``u`` must be unitary to within ``tol``.  The entangling power is
-    estimated by Monte Carlo since no closed form is assumed for general
-    input.
+    ``u`` must be unitary to within ``tol``, and ``cnot_tol`` finite and
+    non-negative (checked first).  The entangling power is estimated by
+    Monte Carlo since no closed form is assumed for general input.
     """
+    _require_cnot_tol(cnot_tol)
     g1, g2 = local_invariants(u, tol)
     weyl = _weyl_coordinates(np.asarray(u, dtype=complex), (g1, g2))
     ep, stderr = entangling_power_mc(u, ep_samples, seed)

@@ -133,11 +133,15 @@ def gate_fidelity(ideal: np.ndarray, actual_projected: np.ndarray) -> float | np
     block matches the ideal up to a global phase, and penalizing leakage
     through the trace term.  A single ``k x k`` block gives a float; a
     stack of blocks of shape ``(..., k, k)`` gives an array of fidelities.
+    Blocks with non-finite entries or operator norm above 1 are refused with
+    ``ValueError``.
     """
     ideal = np.asarray(ideal, dtype=complex)
     actual = np.asarray(actual_projected, dtype=complex)
     if ideal.ndim != 2 or ideal.shape[0] != ideal.shape[1] or actual.shape[-2:] != ideal.shape:
         raise ValueError(f"dimension mismatch: {ideal.shape} vs {actual.shape}")
+    if not np.isfinite(actual).all():
+        raise ValueError("projected block has non-finite (NaN or infinite) entries")
     top = np.max(np.linalg.norm(actual, ord=2, axis=(-2, -1)))
     if top > 1.0 + 1e-9:
         raise ValueError(f"projected block has operator norm {top:.6f} > 1")

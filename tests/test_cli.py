@@ -291,6 +291,16 @@ class TestClassify:
         else:
             assert "exceeds 1e-08" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_cnot_tolerance_exits_2(self, tmp_path, capsys, tol):
+        matrix_path = tmp_path / "cnot.json"
+        write_matrix(matrix_path, CNOT)
+        out = tmp_path / "c.json"
+        assert run(["classify", str(matrix_path), "--cnot-tol", tol, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("holodfs classify: CNOT tolerance must be finite")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_exits_2(self, tmp_path, capsys, bad):
         matrix = CNOT.copy()
@@ -356,6 +366,24 @@ class TestMonteCarloCap:
         # The entropy vector alone would be 0.8 TB.
         assert peak < 1_000_000
 
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "MATRIX"],
+        ["synth-2q", "--theta-tilde", "0.7"],
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        matrix_path = tmp_path / "cnot.json"
+        write_matrix(matrix_path, CNOT)
+        calls = []
+        evolve = cli.evolve_and_project
+        monkeypatch.setattr(cli, "evolve_and_project",
+                            lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        argv = [str(matrix_path) if a == "MATRIX" else a for a in argv]
+        assert run(argv + ["--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"holodfs {argv[0]}: Monte-Carlo seed must be a non-negative "
+                       "integer, got -3\n")
+        assert calls == []
 
     def test_synth_2q_checks_sample_count_before_synthesis(self, capsys, monkeypatch):
         calls = []

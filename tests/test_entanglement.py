@@ -136,6 +136,11 @@ class TestEntanglingPower:
         with pytest.raises(ValueError, match="samples"):
             ent.entangling_power_mc(np.eye(4), 100, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, -3, 1.5])
+    def test_mc_refuses_a_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            ent.entangling_power_mc(np.eye(4), 1000, seed=seed)
+
 
 class TestCnotClass:
     def test_cnot(self):
@@ -157,6 +162,14 @@ class TestCnotClass:
             point[axis] += offset
             assert ent.is_cnot_point(tuple(point), 1e-6) is inside
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])
+    def test_point_refuses_a_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="CNOT tolerance must be finite and non-negative"):
+            ent.is_cnot_point(ent.CNOT_POINT, tol)
+
+    def test_zero_tolerance_is_allowed(self):
+        assert ent.is_cnot_point(ent.CNOT_POINT, 0.0)
+
 
 class TestClassifyGate:
     def test_cnot_report(self):
@@ -165,6 +178,15 @@ class TestClassifyGate:
         assert abs(report.g1) < 1e-9
         assert report.g2 == pytest.approx(1.0, abs=1e-9)
         assert abs(report.ep - 2 / 9) < 3 * report.ep_stderr
+
+    def test_bad_cnot_tolerance_is_refused_before_monte_carlo(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Monte-Carlo estimate started")
+
+        monkeypatch.setattr(ent, "entangling_power_mc", refuse)
+        monkeypatch.setattr(ent, "local_invariants", refuse)
+        with pytest.raises(ValueError, match="CNOT tolerance"):
+            ent.classify_gate(CNOT, cnot_tol=math.nan)
 
     def test_identity_report(self):
         report = ent.classify_gate(np.eye(4), ep_samples=2000, seed=0)

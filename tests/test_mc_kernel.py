@@ -1,8 +1,14 @@
 """The streaming Monte-Carlo entangling-power kernel against its oracles.
 
-``reference_entangling_power_mc`` is the dense einsum estimator the kernel
-replaced: it normalizes the draws, builds every reduced density matrix and
-takes ``1 - tr(rho_1^2)``.  It reads the same per-block random streams
+The kernel draws each input qubit as ``(sqrt(1 - |z|^2), z)`` with ``z``
+uniform in the unit disk (``_disk_points``).  The sampler is checked on its
+own: point count, bounds and determinism, the extra rejection round, the
+Haar second moment ``E[(a a^dag)^(x)2] = (I + SWAP)/6`` and the uniform law
+of ``|z|^2``.
+
+``reference_entangling_power_mc`` is the dense einsum estimator: it
+normalizes the draws, builds every reduced density matrix and takes
+``1 - tr(rho_1^2)``.  It reads the same per-block disk draws
 (``block_draws``), so the two must agree to roundoff.  The closed form
 ``(2/9)(1 - |G1|)`` (Balakrishnan & Sankaranarayanan, PRA 82, 034301
 (2010)) is the statistical oracle.
@@ -37,16 +43,22 @@ ABS_FLOOR = 1e-14
 def block_draws(samples, seed):
     """The kernel's product inputs as a (2, samples, 2) array of (a, b) pairs.
 
-    Block ``i`` of ``_MC_CHUNK`` samples draws ``standard_normal((4, 2 n))``
-    from ``SeedSequence(seed).spawn(n_blocks)[i]``, read as the complex rows
-    a0, a1, b0, b1.
+    Block ``i`` of ``n <= _MC_CHUNK`` samples takes ``2 n`` disk points from
+    ``SeedSequence(seed).spawn(n_blocks)[i]``: the first ``n`` give the
+    ``a`` inputs, the rest the ``b`` inputs, each ``(sqrt(1 - |z|^2), z)``.
     """
     n_blocks = -(-samples // ent._MC_CHUNK)
-    rows = []
+    halves = []
     for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
         n = min(ent._MC_CHUNK, samples - i * ent._MC_CHUNK)
-        rows.append(np.random.default_rng(stream).standard_normal((4, 2 * n)).view(complex))
-    return np.concatenate(rows, axis=1).reshape(2, 2, samples).transpose(0, 2, 1)
+        z = ent._disk_points(np.random.default_rng(stream), 2 * n)
+        halves.append(qubits(z).reshape(2, n, 2))
+    return np.concatenate(halves, axis=1)
+
+
+def qubits(z):
+    """The normalised qubits (sqrt(1 - |z|^2), z) as rows of a (len(z), 2) array."""
+    return np.stack([np.sqrt(1.0 - np.abs(z) ** 2), z], axis=1)
 
 
 def reference_entangling_power_mc(u, samples, seed):
@@ -80,6 +92,64 @@ def _assert_matches_reference(u, samples, seed):
     ref_estimate, ref_stderr = reference_entangling_power_mc(u, samples, seed)
     _assert_close(estimate, ref_estimate)
     _assert_close(stderr, ref_stderr)
+
+
+@pytest.mark.parametrize("count", [1, 1000, 2 * ent._MC_CHUNK, 2 * ent._MC_CHUNK + 1])
+def test_disk_points_fill_the_count_inside_the_disk(count):
+    z = ent._disk_points(np.random.default_rng(count), count)
+    assert z.shape == (count,) and z.dtype == complex
+    assert np.all(np.abs(z) < 1.0)
+    assert np.array_equal(z, ent._disk_points(np.random.default_rng(count), count))
+
+
+class FirstRoundStub:
+    """A generator whose first ``random`` call puts only ``inside`` points
+    in the disk (at 0) and the rest outside it; later calls go to ``rng``."""
+
+    def __init__(self, rng, inside):
+        self.rng, self.inside, self.sizes = rng, inside, []
+
+    def random(self, size):
+        self.sizes.append(size)
+        if len(self.sizes) > 1:
+            return self.rng.random(size)
+        first = np.full(size, 0.999)
+        first[:2 * self.inside] = 0.5
+        return first
+
+
+@pytest.mark.parametrize("inside", [0, 100])
+def test_disk_points_draw_another_round_for_the_shortfall(inside):
+    count = 1000
+    stub = FirstRoundStub(np.random.default_rng(5), inside)
+    z = ent._disk_points(stub, count)
+    assert len(stub.sizes) == 2
+    assert np.array_equal(z[:inside], np.zeros(inside))
+    # The second round is sized from the shortfall alone, so it is the
+    # first round of a fresh stream asked for the shortfall.
+    assert np.array_equal(z[inside:], ent._disk_points(np.random.default_rng(5), count - inside))
+
+
+def test_disk_qubits_match_the_haar_second_moment():
+    # E[(a a^dag) (x) (a a^dag)] = (I + SWAP)/6 for Haar qubits in d = 2.
+    # Entries that are exactly 0 or real for every draw have zero standard
+    # error; the 1e-12 floor covers their roundoff.
+    samples = 1_000_000
+    a = qubits(ent._disk_points(np.random.default_rng(2024), samples))
+    x = (a[:, :, None] * a[:, None, :]).reshape(samples, 4)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    expected = (np.eye(4) + swap) / 6.0
+    for i, j in np.ndindex(4, 4):
+        entry = x[:, i] * x[:, j].conj()
+        for part, exact in ((entry.real, expected[i, j]), (entry.imag, 0.0)):
+            stderr = part.std(ddof=1) / math.sqrt(samples)
+            assert abs(part.mean() - exact) <= 5 * stderr + 1e-12, (i, j)
+
+
+def test_disk_radius_squared_is_uniform():
+    stats = pytest.importorskip("scipy.stats")
+    z = ent._disk_points(np.random.default_rng(7), 100_000)
+    assert stats.kstest(np.abs(z) ** 2, "uniform").pvalue > 1e-3
 
 
 sample_counts = st.integers(min_value=1000, max_value=20_000)
@@ -267,9 +337,8 @@ def test_estimator_runs_in_a_forked_child(workers):
     assert struct.unpack("dd", payload) == expected
 
 
-def test_chunked_kernel_keeps_memory_near_the_draws(workers):
+def _assert_memory_near_the_draws(samples, workers):
     workers(2)
-    samples = 100_000
     u = random_unitary(np.random.default_rng(7), 4)
     tracemalloc.start()
     try:
@@ -277,7 +346,16 @@ def test_chunked_kernel_keeps_memory_near_the_draws(workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The entropy vector and the temporary of its std (8 bytes per sample
-    # each) and about 2 MB of draws and temporaries per worker; drawing all
-    # Gaussians at once took 6.4 MB on its own.
-    assert peak < 2 * samples * 8 + 2 * 2_000_000
+    # One entropy vector (8 bytes per sample; the standard error is taken
+    # in place in it) and at most 2 MB of draws and temporaries per worker
+    # (about 1.5 MB measured).  Taking std(ddof=1) allocated a second
+    # samples-sized vector: 16 MB at 1,000,000 samples.
+    assert peak < samples * 8 + 2 * 2_000_000
+
+
+def test_chunked_kernel_keeps_memory_near_the_draws(workers):
+    _assert_memory_near_the_draws(100_000, workers)
+
+
+def test_million_samples_take_one_entropy_vector(workers):
+    _assert_memory_near_the_draws(1_000_000, workers)

@@ -32,6 +32,13 @@ class TestGateFidelity:
         with pytest.raises(ValueError, match="norm"):
             noise.gate_fidelity(np.eye(2), 1.5 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_block(self, bad):
+        blocks = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        blocks[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            noise.gate_fidelity(np.eye(2), blocks)
+
 
 class TestPerturbedGate1Q:
     def test_unperturbed_limit(self):
