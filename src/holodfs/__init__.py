@@ -8,10 +8,8 @@ sweeps.
 """
 
 from .linalg import (
-    EigenSystem,
     eigh,
     expm_hermitian,
-    kron,
     phase_invariant_distance,
     project_onto,
 )
@@ -62,10 +60,8 @@ from .noise import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenSystem",
     "eigh",
     "expm_hermitian",
-    "kron",
     "phase_invariant_distance",
     "project_onto",
     "CouplingParams1Q",

@@ -115,18 +115,13 @@ def _json_text(payload: dict) -> str:
 
 
 def _report_block(report) -> dict:
-    block = {
+    return {
         "holonomy": report.holonomy,
         "cyclicity_residual": report.cyclicity_residual,
         "max_dynamical_norm": report.max_dynamical_norm,
         "leakage": report.leakage,
         "analytic_distance": report.analytic_distance,
     }
-    if report.fidelity is not None:
-        block["fidelity"] = report.fidelity
-    if report.sector_leakage is not None:
-        block["sector_leakage"] = report.sector_leakage
-    return block
 
 
 def _runs(params, ideal: np.ndarray, samples: int):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, unitarity_defect
+from .linalg import unitarity_defect
 from .spin_model import SIGMA_Y
 
 EP_MAX = 2.0 / 9.0
@@ -40,7 +40,7 @@ _Q_MAGIC = np.array(
     dtype=complex,
 ) / math.sqrt(2)
 
-_SYSY = kron(SIGMA_Y, SIGMA_Y)
+_SYSY = np.kron(SIGMA_Y, SIGMA_Y)
 
 # Maps the reduced eigenphase vector to (c1, c2, c3).
 _COORD_MIX = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)

@@ -1,10 +1,10 @@
-"""Dense complex linear algebra with deterministic conventions.
+"""Dense complex linear algebra: checked eigendecomposition and its uses.
 
 Everything here operates on plain ``numpy.ndarray`` values with complex
 entries.  The systems simulated by this package live in Hilbert spaces of
-dimension at most 16, so exact dense methods (spectral decompositions,
-explicit Kronecker products) are both fast and accurate; no sparse or
-iterative machinery is used.
+dimension at most 16, so exact dense spectral decompositions are both fast
+and accurate; no sparse or iterative machinery is used.  :func:`eigh` is
+the one place the package diagonalizes, single matrices and stacks alike.
 
 Tolerances are named where they are enforced: ``ATOL_CONSTRUCTION``
 (1e-12, Hermiticity and Gram matrices) below, the ``tol`` arguments of
@@ -15,32 +15,15 @@ the verification thresholds in ``cli.TOLERANCES``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 ATOL_CONSTRUCTION = 1e-12
 
-# Eigenvalues closer than this gap are treated as one degenerate cluster.
-DEGENERACY_GAP = 1e-9
-
-
-class EigenSystem(NamedTuple):
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns, phase-fixed so that the
-    first non-negligible component of each column is real and positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its adjoint."""
+    """Largest entrywise deviation of ``m`` (a matrix or a stack) from its adjoint."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -49,29 +32,18 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    # First component above a relative threshold is rotated to be real
-    # positive; the threshold avoids keying the phase off pure roundoff.
-    # Columns are scaled as contiguous rows of the transpose, each by one
-    # broadcast factor: the arithmetic, and so the bits, of a vector times a
-    # scalar, which a row of per-column factors does not always reproduce.
-    cols = np.array(np.transpose(vectors), dtype=complex, order="C")
-    mags = np.abs(cols)
-    pivot = np.argmax(mags > 1e-6 * mags.max(axis=1, keepdims=True), axis=1)
-    rows = np.arange(len(cols))
-    phases = np.conj(cols[rows, pivot]) / mags[rows, pivot]
-    return np.ascontiguousarray((cols * phases[:, None]).T)
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition of one matrix or a ``(..., d, d)`` stack.
 
+    Returns numpy's ``(values, vectors)`` pair as LAPACK computes it:
+    eigenvalues ascending, orthonormal eigenvectors as columns.  No phase or
+    basis convention is imposed inside degenerate clusters; every quantity
+    this package derives from the pair (``V exp(-iEt) V^dag``, projected
+    blocks, leakage) is independent of that choice.
 
-def eigh(h: np.ndarray) -> EigenSystem:
-    """Hermitian eigendecomposition with a deterministic phase convention.
-
-    Eigenvalues come back ascending.  Within degenerate clusters (gap below
-    ``DEGENERACY_GAP``) the eigenvectors are re-orthonormalized by QR so no
-    caller can accidentally rely on intra-cluster ordering details.
-
-    Raises ``ValueError`` for non-Hermitian input, reporting the maximal
-    asymmetry (``nan`` for a matrix with non-finite entries).
+    Raises ``ValueError`` when any matrix is not Hermitian, reporting the
+    maximal asymmetry (``nan`` for non-finite entries): LAPACK reads only
+    one triangle, so a bad entry in the other would otherwise pass unseen.
     """
     h = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(h)
@@ -80,16 +52,7 @@ def eigh(h: np.ndarray) -> EigenSystem:
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
             f"{ATOL_CONSTRUCTION:.0e}"
         )
-    values, vectors = np.linalg.eigh(h)
-    # Re-orthonormalize degenerate clusters.
-    start = 0
-    for stop in range(1, len(values) + 1):
-        if stop == len(values) or values[stop] - values[stop - 1] > DEGENERACY_GAP:
-            if stop - start > 1:
-                q, _ = np.linalg.qr(vectors[:, start:stop])
-                vectors[:, start:stop] = q
-            start = stop
-    return EigenSystem(values, _fix_column_phases(vectors))
+    return np.linalg.eigh(h)
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -97,11 +60,6 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     values, vectors = eigh(h)
     phases = np.exp(-1j * values * t)
     return (vectors * phases) @ vectors.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:

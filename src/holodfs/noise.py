@@ -228,7 +228,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     strengths and leaves the fixed-excitation sector invariant, so the three
     terms are restricted to the sector once and the grid is diagonalized in
     stacks of whole rows (fixed first ratio), about ``SWEEP_CHUNK_POINTS``
-    sector Hamiltonians per ``eigh`` call.  Sector leakage is bounded by
+    sector Hamiltonians per :func:`linalg.eigh` call, which checks each
+    stack for Hermiticity.  Sector leakage is bounded by
     ``||Q U(tau) P|| <= tau ||Q H P||``, with ``||Q H P||`` at most the
     residual-weighted sum of the three terms.
 
@@ -250,7 +251,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for start in range(0, n, rows_per_chunk):
         d1 = strengths[start:start + rows_per_chunk]
         stack = (e0 + d1[:, None, None, None] * e1) + strengths[:, None, None] * e2
-        values, vectors = np.linalg.eigh(stack.reshape(-1, *e0.shape))
+        values, vectors = linalg.eigh(stack.reshape(-1, *e0.shape))
         try:
             require_phase_precision(values, tau)
         except ValueError:

@@ -24,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import ATOL_CONSTRUCTION, kron, project_onto
+from .linalg import ATOL_CONSTRUCTION, project_onto
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -122,7 +122,7 @@ def pauli_on(n: int, j: int, axis: str) -> np.ndarray:
         raise IndexError(f"site index {j} out of range for {n} qubits")
     ops = [ID2] * n
     ops[j] = _PAULI[axis]
-    return reduce(kron, ops)
+    return reduce(np.kron, ops)
 
 
 def total_sz(n: int) -> np.ndarray:

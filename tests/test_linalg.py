@@ -25,10 +25,10 @@ class TestEigh:
     def test_pauli_x_spectrum(self):
         values, vectors = linalg.eigh(SIGMA_X)
         assert_allclose(values, [-1.0, 1.0], atol=1e-14)
-        s = 1 / math.sqrt(2)
-        # Phase convention: first sizeable component real positive.
-        assert_allclose(vectors[:, 0], [s, -s], atol=1e-14)
-        assert_allclose(vectors[:, 1], [s, s], atol=1e-14)
+        # Eigenvectors are fixed only up to phase; their projectors are not.
+        for k, sign in enumerate((-1.0, 1.0)):
+            projector = np.outer(vectors[:, k], vectors[:, k].conj())
+            assert_allclose(projector, (np.eye(2) + sign * SIGMA_X) / 2, atol=1e-14)
 
     def test_lambda_system_energies(self):
         theta, phi, omega = 0.8, 2.2, 1.3  # cos(phi) < 0
@@ -70,10 +70,54 @@ class TestEigh:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 6)
-        first = linalg.eigh(h)
-        second = linalg.eigh(h)
-        assert np.array_equal(first.eigenvalues, second.eigenvalues)
-        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+        values, vectors = linalg.eigh(h)
+        again_values, again_vectors = linalg.eigh(h)
+        assert np.array_equal(values, again_values)
+        assert np.array_equal(vectors, again_vectors)
+
+
+def hermitian_stack(seed, n=5, dim=4):
+    rng = np.random.default_rng(seed)
+    return np.array([random_hermitian(rng, dim) for _ in range(n)])
+
+
+class TestEighStacks:
+    def test_stack_equals_one_call_per_member(self):
+        stack = hermitian_stack(1)
+        values, vectors = linalg.eigh(stack)
+        assert values.shape == (5, 4) and vectors.shape == (5, 4, 4)
+        for h, member_values, member_vectors in zip(stack, values, vectors):
+            single_values, single_vectors = linalg.eigh(h)
+            assert np.array_equal(member_values, single_values)
+            assert np.array_equal(member_vectors, single_vectors)
+
+    def test_nested_stack_shape(self):
+        stack = hermitian_stack(2, n=6).reshape(2, 3, 4, 4)
+        values, vectors = linalg.eigh(stack)
+        assert values.shape == (2, 3, 4) and vectors.shape == (2, 3, 4, 4)
+        assert_allclose((vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2),
+                        stack, atol=1e-12)
+
+    def test_hermiticity_defect_is_the_worst_member(self):
+        stack = hermitian_stack(3)
+        stack[2, 0, 1] += 3e-5
+        assert linalg.hermiticity_defect(stack) == pytest.approx(3e-5, rel=1e-9)
+        assert linalg.hermiticity_defect(stack[[0, 1, 3, 4]]) == 0.0
+
+    @pytest.mark.parametrize("member", [0, 3, 4])
+    def test_rejects_stack_with_one_asymmetric_member(self, member):
+        stack = hermitian_stack(4)
+        stack[member, 1, 3] += 1e-6
+        with pytest.raises(ValueError, match=r"not Hermitian: max asymmetry 1\.000e-06"):
+            linalg.eigh(stack)
+
+    @pytest.mark.parametrize("entry", [np.nan, complex(0.0, np.nan)])
+    def test_rejects_stack_with_nan_in_one_upper_triangle(self, entry):
+        # LAPACK reads only the lower triangle of each member.
+        stack = hermitian_stack(5)
+        stack[2, 0, 3] = entry
+        with pytest.raises(ValueError, match="asymmetry nan"):
+            linalg.eigh(stack)
 
 
 class TestExpmHermitian:
@@ -112,29 +156,6 @@ class TestExpmHermitian:
         rng = np.random.default_rng(9)
         h = random_hermitian(rng, 8)
         assert linalg.unitarity_defect(linalg.expm_hermitian(h, 2.5)) < 1e-10
-
-
-class TestKron:
-    def test_identity(self):
-        assert_allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
-
-    def test_x_kron_z(self):
-        expected = np.array(
-            [
-                [0, 0, 1, 0],
-                [0, 0, 0, -1],
-                [1, 0, 0, 0],
-                [0, -1, 0, 0],
-            ],
-            dtype=complex,
-        )
-        assert_allclose(linalg.kron(SIGMA_X, SIGMA_Z), expected, atol=0)
-
-    def test_dimensions_multiply(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((5, 5))
-        assert linalg.kron(a, b).shape == (15, 15)
 
 
 class TestPhaseInvariantDistance:

@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -139,10 +139,12 @@ class TestBuildH2:
 
 def chain_bond(n, i, j, strength, dm):
     # Reference construction: explicit pauli_on Kronecker chains per call.
+    # The bond's +-2 entries are halved, which is exact; halving the strength
+    # instead would round a coupling near the smallest normal float.
     op = sm.pauli_on
     if dm:
-        return (strength / 2.0) * (op(n, i, "x") @ op(n, j, "y") - op(n, i, "y") @ op(n, j, "x"))
-    return (strength / 2.0) * (op(n, i, "x") @ op(n, j, "x") + op(n, i, "y") @ op(n, j, "y"))
+        return strength * ((op(n, i, "x") @ op(n, j, "y") - op(n, i, "y") @ op(n, j, "x")) / 2.0)
+    return strength * ((op(n, i, "x") @ op(n, j, "x") + op(n, i, "y") @ op(n, j, "y")) / 2.0)
 
 
 def chain_h1(p):
@@ -179,6 +181,7 @@ class TestPrebuiltGenerators:
 
     @settings(deadline=None, max_examples=200)
     @given(values=st.lists(couplings, min_size=4, max_size=4))
+    @example(values=[0.0, 0.0, 0.0, 2.793002276197006e-308])
     def test_h2_equals_kronecker_chains_exactly(self, values):
         p = sm.CouplingParams2Q(*values)
         assert np.array_equal(sm.build_h2(p), chain_h2(p))

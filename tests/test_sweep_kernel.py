@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holodfs import noise, spin_model
+from holodfs import cli, linalg, noise, spin_model
 from holodfs.holonomy import (
     GateParams2Q,
     analytic_gate_1q,
@@ -209,6 +209,27 @@ def test_fifty_by_fifty_sweep_makes_three_eigh_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     noise.run_sweep(noise.SweepSpec(gate_target="hadamard", steps_per_axis=50))
     assert calls == [(1000, 3, 3), (1000, 3, 3), (500, 3, 3)]
+
+
+@pytest.mark.parametrize("target", _TARGETS[::2], ids=lambda t: t["gate_target"])
+def test_sweep_diagonalizes_through_linalg_eigh(target, monkeypatch):
+    # The checked linalg.eigh is the one diagonalization route; going through
+    # it leaves the CSV byte-identical to the direct row-by-row reference.
+    calls = []
+    eigh = linalg.eigh
+
+    def counting(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    spec = noise.SweepSpec(steps_per_axis=50, **target)
+    monkeypatch.setattr(linalg, "eigh", counting)
+    table = noise.run_sweep(spec)
+    dim = 3 if target["gate_target"] == "hadamard" else 6
+    assert calls == [(1000, dim, dim), (1000, dim, dim), (500, dim, dim)]
+    fidelity, leakage = _row_by_row(spec)
+    reference = noise.SweepTable(table.axis1, table.axis2, fidelity, leakage)
+    assert cli._sweep_csv(table) == cli._sweep_csv(reference)
 
 
 def test_phase_roundoff_names_the_row_of_the_reference():
