@@ -267,17 +267,24 @@ def params_for_rotation(
     """Loop parameters realizing a rotation by ``gamma`` about the
     xz-plane axis indexed by ``theta``.
 
-    The reachable rotation angles for winding ``m`` are [0, 2*m*pi]; outside
-    that range the error names the smallest winding that works.  Axes with
-    theta outside [0, pi] are covered by the identity
+    The reachable rotation angles for winding ``m`` are [0, 2*m*pi]; above
+    that range the error names the smallest winding that works, and a
+    negative angle, which no winding reaches, is refused as such (the gate
+    is 2*pi-periodic in gamma, so gamma mod 2*pi gives the same one).  Axes
+    with theta outside [0, pi] are covered by the identity
     R_{-n}(gamma) = R_{n}(-gamma).
     """
     _require_winding("m", m)
     if not math.isfinite(gamma):
         raise ValueError(f"rotation angle gamma must be finite, got {gamma}")
+    if gamma < 0.0:
+        raise ValueError(
+            f"rotation angle gamma={gamma:g} is negative, and no winding reaches "
+            f"a negative angle; gamma={gamma % (2.0 * math.pi):g} gives the same gate"
+        )
     limit = 2.0 * m * math.pi
-    if not 0.0 <= gamma <= limit:
-        m_min = max(1, math.ceil(gamma / (2.0 * math.pi)))
+    if not gamma <= limit:
+        m_min = math.ceil(gamma / (2.0 * math.pi))
         raise ValueError(
             f"rotation angle gamma={gamma:g} is outside [0, 2*m*pi] for m={m}; "
             f"smallest feasible winding is m={m_min}"

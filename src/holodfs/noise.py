@@ -17,6 +17,8 @@ import numpy as np
 
 from . import linalg
 from .holonomy import (
+    _EPS,
+    PHASE_ROUNDOFF_LIMIT,
     GateParams1Q,
     GateParams2Q,
     GateReport,
@@ -40,9 +42,8 @@ GATE_PRESETS = {
 # CSV rendering of a grid this size is already about 15 MB.
 MAX_SWEEP_POINTS = 250_000
 
-# Grid points diagonalized per stacked eigh call in run_sweep: whole rows,
-# as many as fit (at least one).  A 6-dim sector stack of this size and its
-# eigenvectors take about 0.6 MB each.
+# Grid points run_sweep evaluates per pass: whole rows, as many as fit (at
+# least one), which bounds its temporaries whatever the grid size.
 SWEEP_CHUNK_POINTS = 1024
 
 
@@ -221,48 +222,128 @@ def sweep_axes(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.ratio_min, spec.ratio_max, spec.steps_per_axis)
 
 
+def _lambda_blocks(terms, sector: SubspaceFrame, logical: SubspaceFrame):
+    # Split sector-restricted terms into equal, mutually uncoupled lambda
+    # systems: block j is one excited level coupled to the logical rows
+    # rows[j] (positions in the logical frame), with its coupling rows
+    # couplings[i, j] and energies detunings[i, j] in term i.  Any other
+    # nonzero entry, like a non-Hermitian term, is refused, so the closed
+    # form of run_sweep never meets another Hamiltonian.
+    stack = np.asarray(terms, dtype=complex)
+    defect = linalg.hermiticity_defect(stack)
+    if not defect <= linalg.ATOL_CONSTRUCTION:
+        raise ValueError(
+            f"sector Hamiltonian is not Hermitian: max asymmetry {defect:.3e} "
+            f"exceeds {linalg.ATOL_CONSTRUCTION:.0e}"
+        )
+    labels = sector.labels
+    ground = [labels.index(label) for label in logical.labels]
+    excited = [i for i in range(len(labels)) if i not in ground]
+    nonzero = np.any(stack != 0, axis=0)
+    nonzero |= nonzero.T
+    partner = [next((e for e in excited if nonzero[g, e]), None) for g in ground]
+    if None in partner:
+        raise ValueError(f"sector Hamiltonian is not a lambda system: logical level "
+                         f"{labels[ground[partner.index(None)]]} couples to no excited level")
+    allowed = np.zeros_like(nonzero)
+    allowed[ground, partner] = allowed[partner, ground] = True
+    allowed[excited, excited] = True
+    stray = np.argwhere(nonzero & ~allowed)
+    if len(stray):
+        a, b = (labels[i] for i in stray[0])
+        raise ValueError(f"sector Hamiltonian is not a lambda system: <{a}|H|{b}> is not zero")
+    hubs = list(dict.fromkeys(partner))
+    rows = [[pos for pos, e in enumerate(partner) if e == hub] for hub in hubs]
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("sector Hamiltonian is not a lambda system of equal blocks")
+    rows = np.array(rows)
+    return (rows, stack[:, np.array(hubs)[:, None], np.array(ground)[rows]],
+            stack[:, hubs, hubs].real)
+
+
+def _lambda_points(blocks, d1: np.ndarray, d2: np.ndarray):
+    # Coupling vectors (..., blocks, k) and detunings (..., blocks) of the
+    # excited levels at DM strengths d1, d2 (broadcast against each other),
+    # summed in the order (H0 + d1*G1) + d2*G2 of the full Hamiltonian.
+    _, (c0, c1, c2), (x0, x1, x2) = blocks
+    return ((c0 + d1[..., None] * c1) + d2[..., None] * c2,
+            (x0 + d1 * x1) + d2 * x2)
+
+
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the fidelity/leakage grid for a sweep specification.
 
     The perturbed Hamiltonian ``H0 + d1*G1 + d2*G2`` is linear in the DM
     strengths and leaves the fixed-excitation sector invariant, so the three
-    terms are restricted to the sector once and the grid is diagonalized in
-    stacks of whole rows (fixed first ratio), about ``SWEEP_CHUNK_POINTS``
-    sector Hamiltonians per :func:`linalg.eigh` call, which checks each
-    stack for Hermiticity.  Sector leakage is bounded by
+    terms are restricted to the sector once and split by
+    ``_lambda_blocks`` into lambda systems: one for the single-qubit
+    loop, two (one per value of the first logical qubit) for the two-qubit
+    loop.  In each, the logical block is zero and only the bright state
+    ``b = conj(c)/|c|`` of the logical rows couples, through the coupling
+    vector ``c``, to one excited level at detuning ``delta``, so the
+    projected gate has the closed form (Sjoqvist et al., NJP 14, 103035
+    (2012))
+
+        ``U = I - (1 - A) b b^dag``,
+        ``A = exp(-i delta tau/2) (cos(alpha tau) + i delta/(2 alpha) sin(alpha tau))``,
+
+    with ``alpha = hypot(|c|, delta/2)``; the block's singular values are 1
+    and ``|A|``, and its energies 0 and ``delta/2 +- alpha``.  ``|c|`` and
+    ``alpha`` are built with ``hypot``, never by squaring a coupling, and
+    the grid is evaluated about ``SWEEP_CHUNK_POINTS`` points (whole rows of
+    fixed first ratio) at a time.  Sector leakage is bounded by
     ``||Q U(tau) P|| <= tau ||Q H P||``, with ``||Q H P||`` at most the
     residual-weighted sum of the three terms.
 
-    Raises ``ValueError`` naming the first offending row when the loop
-    phases ``|E|*tau`` are so large that their float64 roundoff exceeds
+    Raises ``ValueError`` when the sector terms are not such lambda systems,
+    and naming the first offending row when the loop phases ``|E|*tau`` are
+    so large that their float64 roundoff exceeds
     ``holonomy.PHASE_ROUNDOFF_LIMIT``.  Rows are indexed by the first axis
     and the output is deterministic.
     """
     axis = sweep_axes(spec)
     g, ideal = _sweep_target(spec)
-    sector, logical_frame = g.frames()
-    (e0, e1, e2), (r0, r1, r2) = zip(*(restrict(term, sector) for term in g.terms()))
-    logical = [sector.labels.index(label) for label in logical_frame.labels]
+    sector, logical = g.frames()
+    terms, (r0, r1, r2) = zip(*(restrict(term, sector) for term in g.terms()))
+    blocks = _lambda_blocks(terms, sector, logical)
+    rows = blocks[0]
+    # tr V_j^dag and V_j^dag of the ideal gate's diagonal blocks.
+    ideal_dag = ideal.conj().T[rows[:, :, None], rows[:, None, :]]
+    trace_dag = np.trace(ideal_dag, axis1=-2, axis2=-1)
+    k = len(ideal)
     tau = g.tau
     strengths = spec.omega / axis
+    d2 = strengths[:, None]
     n = len(axis)
     fidelity = np.empty((n, n))
     rows_per_chunk = max(1, SWEEP_CHUNK_POINTS // n)
     for start in range(0, n, rows_per_chunk):
-        d1 = strengths[start:start + rows_per_chunk]
-        stack = (e0 + d1[:, None, None, None] * e1) + strengths[:, None, None] * e2
-        values, vectors = linalg.eigh(stack.reshape(-1, *e0.shape))
-        try:
-            require_phase_precision(values, tau)
-        except ValueError:
-            for i, row_values in enumerate(values.reshape(len(d1), -1), start):
-                require_phase_precision(row_values, tau,
-                                        where=f" at ratio1 = {axis[i]:.6g}",
-                                        remedy="raise ratio_min or lower m")
-        rows = vectors[:, logical, :]
-        block = (rows * np.exp(-1j * tau * values)[:, None, :]) @ rows.conj().swapaxes(1, 2)
+        d1 = strengths[start:start + rows_per_chunk, None, None]
+        c, delta = _lambda_points(blocks, d1, d2)
+        size = np.hypot.reduce(np.abs(c), axis=-1)
+        alpha = np.hypot(size, delta / 2)
+        top = np.max(np.abs(delta) / 2 + alpha, axis=(1, 2))
+        # The test of require_phase_precision, row by row: name the first.
+        bad = np.flatnonzero(~(top * tau * _EPS <= PHASE_ROUNDOFF_LIMIT))
+        if bad.size:
+            i = bad[0]
+            require_phase_precision(top[i], tau, where=f" at ratio1 = {axis[start + i]:.6g}",
+                                    remedy="raise ratio_min or lower m")
+        phase = alpha * tau
+        a = np.exp(-0.5j * tau * delta) * (
+            np.cos(phase) + 1j * (delta / 2 / alpha) * np.sin(phase))
+        norm = np.abs(a)
+        if not np.max(norm) <= 1.0 + 1e-9:
+            raise ValueError(f"projected block has operator norm {np.max(norm):.6f} > 1")
+        # c underflows to 0 where a loop with no exchange coupling meets DM
+        # strengths below the float range; the block is then the identity.
+        unit = np.divide(c, size[..., None], out=np.zeros_like(c), where=size[..., None] > 0)
+        # b^dag V_j^dag b with b = conj(unit).
+        bright = np.einsum("...ja,jab,...jb->...j", unit, ideal_dag, unit.conj())
+        overlap = np.sum(trace_dag - (1 - a) * bright, axis=-1)
+        trace_term = np.sum(rows.shape[1] - 1 + norm**2, axis=-1)
         fidelity[start:start + len(d1)] = np.clip(
-            gate_fidelity(ideal, block), 0.0, 1.0).reshape(len(d1), n)
+            (np.abs(overlap) ** 2 + trace_term) / (k * (k + 1)), 0.0, 1.0)
     leakage = np.minimum(
         (tau * (r0 + strengths[:, None] * r1 + strengths * r2)) ** 2, 1.0)
     return SweepTable(axis1=axis.copy(), axis2=axis.copy(), fidelity=fidelity,

@@ -63,6 +63,19 @@ class TestSynth1Q:
         err = capsys.readouterr().err
         assert "gamma" in err and "m=2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["synth-1q", "--theta", "1", "--gamma", "-1"],
+        ["sweep", "--gate", "custom", "--theta", "1", "--gamma", "-1", "--steps", "2"],
+        ["verify", "--theta", "1", "--gamma", "-1", "--m", "3"],
+    ])
+    def test_negative_gamma_exits_2_naming_the_sign(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "gamma=-1 is negative" in captured.err
+        assert "gamma=5.28319 gives the same gate" in captured.err
+        assert "winding is m=" not in captured.err
+        assert captured.out == ""
+
     def test_missing_target_exits_2(self):
         assert run(["synth-1q"]) == 2
 

@@ -180,6 +180,15 @@ class TestParamsForRotation:
         with pytest.raises(ValueError, match="m=2"):
             ho.params_for_rotation(0.5, 7.0, m=1)
 
+    @pytest.mark.parametrize("gamma", [-1.0, -7.0, -1e-300])
+    def test_negative_angle_names_the_sign_and_the_same_gate(self, gamma):
+        with pytest.raises(ValueError, match="is negative, and no winding reaches") as refused:
+            ho.params_for_rotation(0.5, gamma, m=4)
+        same = gamma % (2 * math.pi)
+        assert f"gamma={same:g} gives the same gate" in str(refused.value)
+        assert np.allclose(ho.analytic_gate_1q(0.5, same), ho.analytic_gate_1q(0.5, gamma),
+                           rtol=0.0, atol=1e-15)
+
     def test_round_trip(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
