@@ -38,7 +38,7 @@ from .holonomy import (
     params_for_rotation,
 )
 from .noise import GATE_PRESETS, SweepSpec, run_sweep
-from .spin_model import effective_subframe, restrict
+from .spin_model import restrict
 # Bound only for bench/tests/test_bench.py, which checks that tracing patches them here.
 from .spin_model import build_h1, build_h2  # noqa: F401
 
@@ -126,13 +126,11 @@ def _report_block(report) -> dict:
 
 def _runs(params, ideal: np.ndarray, samples: int):
     # The loop of ``params`` evolved in its excitation sector and in full space.
-    h_full = params.terms()[0]
+    h_full = params.hamiltonian()
     sector, logical = params.frames()
     h_eff, _ = restrict(h_full, sector)
-    effective = evolve_and_project(
-        h_eff, effective_subframe(sector, logical.labels), params.tau,
-        samples=samples, ideal=ideal,
-    )
+    effective = evolve_and_project(h_eff, params.frames(effective=True)[1], params.tau,
+                                   samples=samples, ideal=ideal)
     full = evolve_and_project(h_full, logical, params.tau, samples=samples, ideal=ideal)
     return effective, full
 
@@ -299,7 +297,7 @@ def _load_matrix(path: str) -> np.ndarray:
             raw = json.load(handle)
     except OSError as exc:
         raise CommandError(f"cannot read matrix file {path}: {exc}", EXIT_PARSE)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise CommandError(f"matrix file {path} is not valid JSON: {exc}", EXIT_PARSE)
     matrix = np.empty((4, 4), dtype=complex)
     try:
@@ -311,7 +309,7 @@ def _load_matrix(path: str) -> np.ndarray:
             for j, pair in enumerate(row):
                 re, im = pair
                 matrix[i, j] = float(re) + 1j * float(im)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CommandError(
             f"matrix file {path} is not a 4x4 array of [re, im] pairs: {exc}",
             EXIT_PARSE,
@@ -344,17 +342,14 @@ def cmd_classify(args) -> int:
 
 
 def _sweep_csv(table) -> str:
-    # One row per grid point, first axis outermost, in a single formatting
-    # pass over plain floats.
-    n = len(table.axis1)
-    columns = np.column_stack([
-        np.repeat(table.axis1, len(table.axis2)),
-        np.tile(table.axis2, n),
-        table.fidelity.ravel(),
-        table.leakage.ravel(),
-    ])
-    rows = "%.12g,%.12g,%.12g,%.12g\n" * len(columns) % tuple(columns.ravel().tolist())
-    return "ratio1,ratio2,fidelity,leakage\n" + rows
+    # One row per grid point, first axis outermost.  Each ratio repeats on
+    # many rows, so it is formatted once; the computed columns are filled in
+    # by one formatting pass over plain floats.
+    first = ["%.12g," % value for value in table.axis1.tolist()]
+    second = ["%.12g," % value for value in table.axis2.tolist()]
+    rows = "".join(a + b + "%.12g,%.12g\n" for a in first for b in second)
+    points = np.column_stack([table.fidelity.ravel(), table.leakage.ravel()])
+    return "ratio1,ratio2,fidelity,leakage\n" + rows % tuple(points.ravel().tolist())
 
 
 def cmd_sweep(args) -> int:

@@ -69,8 +69,8 @@ class GateParams1Q:
     mix, ``m`` counts windings and ``omega`` is the overall energy scale.
     The loop duration is ``tau = m*pi/omega`` (hbar = 1).
 
-    Both loop types share the members ``omega``, ``tau``, ``terms()`` and
-    ``frames()``, so the code that runs a loop serves either.
+    Both loop types share the members ``omega``, ``tau``, ``hamiltonian()``,
+    ``terms()`` and ``frames()``, so the code that runs a loop serves either.
     """
 
     theta: float
@@ -104,16 +104,25 @@ class GateParams1Q:
             d2a_z=d2a_z,
         )
 
+    def hamiltonian(self) -> np.ndarray:
+        """Full-space loop Hamiltonian ``H0`` without DM noise."""
+        return spin_model.build_h1(self.couplings())
+
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full-space ``(H0, G1, G2)``: the loop Hamiltonian under DM strengths
         ``d1``, ``d2`` on the bonds Q1-Qa and Qa-Q2 is ``H0 + d1*G1 + d2*G2``."""
-        return (spin_model.build_h1(self.couplings()),
+        return (self.hamiltonian(),
                 spin_model.build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d1a_z=1.0)),
                 spin_model.build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d2a_z=1.0)))
 
-    def frames(self) -> tuple[SubspaceFrame, SubspaceFrame]:
-        """Full-space frames of the loop's excitation sector and logical qubit."""
-        return spin_model.dfs3_frame(), spin_model.logical_frame_1q()
+    def frames(self, effective: bool = False) -> tuple[SubspaceFrame, SubspaceFrame]:
+        """Frames of the loop's excitation sector and logical qubit.
+
+        The sector frame is in full space; the logical frame too, or with
+        ``effective=True`` in the sector's coordinates.  Both are the frames
+        ``spin_model`` builds once per process.
+        """
+        return spin_model.dfs3_frame(), spin_model.logical_frame_1q(effective)
 
 
 @dataclass(frozen=True)
@@ -162,16 +171,21 @@ class GateParams2Q:
             d42_z=d42_z,
         )
 
+    def hamiltonian(self) -> np.ndarray:
+        """Full-space loop Hamiltonian ``H0`` without DM noise."""
+        return spin_model.build_h2(self.couplings())
+
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full-space ``(H0, G1, G2)`` with DM generators on the bonds Q3-Q2
         and Q2-Q4, as for :meth:`GateParams1Q.terms`."""
-        return (spin_model.build_h2(self.couplings()),
+        return (self.hamiltonian(),
                 spin_model.build_h2(CouplingParams2Q(0.0, 0.0, d32_z=1.0)),
                 spin_model.build_h2(CouplingParams2Q(0.0, 0.0, d42_z=1.0)))
 
-    def frames(self) -> tuple[SubspaceFrame, SubspaceFrame]:
-        """Full-space frames of the 6-dim sector and the two logical qubits."""
-        return spin_model.dfs6_frame(), spin_model.logical_frame_2q()
+    def frames(self, effective: bool = False) -> tuple[SubspaceFrame, SubspaceFrame]:
+        """Frames of the 6-dim sector and the two logical qubits, as for
+        :meth:`GateParams1Q.frames`."""
+        return spin_model.dfs6_frame(), spin_model.logical_frame_2q(effective)
 
 
 @dataclass(frozen=True)
@@ -180,8 +194,10 @@ class GateReport:
 
     ``cyclicity_residual`` is the Frobenius unitarity defect of the
     projected final operator, ``max_dynamical_norm`` the largest magnitude
-    of a logical-block Hamiltonian element seen at the sampled times (zero
-    means parallel transport), ``leakage`` the mean population escaping the
+    of a logical-block Hamiltonian element ``F(t)^dag H F(t)`` seen at the
+    sampled times, evaluated as ``C(t)^dag (V^dag H V) C(t)`` in the
+    eigenbasis ``V`` of ``H`` (zero means parallel transport; see
+    :func:`evolve_and_project`), ``leakage`` the mean population escaping the
     logical frame at final time.  ``analytic_distance`` and ``fidelity``
     compare against a closed-form target when one is known;
     ``sector_leakage`` is filled by the noise pipeline and measures the
@@ -297,15 +313,20 @@ def _max_logical_block(h: np.ndarray, values: np.ndarray, vectors: np.ndarray,
                        frame: np.ndarray, tau: float, samples: int) -> float:
     # Largest |F(t)^dag h F(t)| entry over ``samples`` times in [0, tau], with
     # the d x k frame evolved as F(t) = V exp(-i E t) V^dag F(0) for the
-    # eigensystem (E, V) = (values, vectors); each chunk of times is one
-    # (chunk, d, k) stack.
+    # eigensystem (E, V) = (values, vectors).  The products are regrouped as
+    # C(t)^dag M C(t) with M = V^dag h V and C(t) = exp(-i E t) coeff; a chunk
+    # of times is laid out (d, k, chunk), so M C is one gemm over all its
+    # times, and the k x k blocks coeff^dag (exp(+i E t) M C) are one more.
     coeff = vectors.conj().T @ frame  # frame in the eigenbasis
+    m = vectors.conj().T @ h @ vectors
     times = np.linspace(0.0, tau, samples)
+    d = len(values)
     max_dyn = 0.0
     for start in range(0, samples, _TIME_CHUNK):
-        t = times[start:start + _TIME_CHUNK, None]
-        evolved = vectors @ (np.exp(-1j * values * t)[:, :, None] * coeff)
-        block = evolved.conj().swapaxes(1, 2) @ h @ evolved
+        phases = np.exp(-1j * values[:, None] * times[start:start + _TIME_CHUNK])
+        evolved = coeff[:, :, None] * phases[:, None, :]
+        moved = (m @ evolved.reshape(d, -1)).reshape(evolved.shape)
+        block = coeff.conj().T @ (phases.conj()[:, None, :] * moved).reshape(d, -1)
         max_dyn = max(max_dyn, float(np.max(np.abs(block))))
     return max_dyn
 
@@ -324,13 +345,16 @@ def evolve_and_project(
     is given, the phase-invariant distance to it.
 
     The parallel-transport check runs literally at ``samples`` uniformly
-    spaced times in ``[0, tau]``: the logical frame is evolved through the
-    eigenbasis of ``h`` to every sampled time at once, as a stack of
-    ``d x k`` frames, and ``max_dynamical_norm`` is the largest magnitude
-    of the logical-block Hamiltonian ``F(t)^dag h F(t)`` over the stack
-    (for a constant Hamiltonian this equals the static block).  The times
-    are processed ``_TIME_CHUNK`` at a time, so memory stays bounded
-    whatever ``samples`` is.
+    spaced times in ``[0, tau]``: ``max_dynamical_norm`` is the largest
+    magnitude of the logical-block Hamiltonian ``F(t)^dag h F(t)`` over
+    those times, with ``F(t) = V exp(-i E t) V^dag F(0)`` for the
+    eigensystem ``(E, V)`` of ``h``.  It is evaluated regrouped as
+    ``C(t)^dag (V^dag h V) C(t)`` with ``C(t) = exp(-i E t) V^dag F(0)``,
+    so each chunk of at most ``_TIME_CHUNK`` times costs one matrix
+    product over all its times plus one ``k``-row product, and memory
+    stays bounded whatever ``samples`` is.  For a constant Hamiltonian
+    every sampled block equals the static block ``F(0)^dag h F(0)`` up to
+    roundoff.
 
     Raises ``ValueError`` when ``samples`` is below 2 or above
     ``MAX_TIME_SAMPLES`` (checked before anything is allocated), and when

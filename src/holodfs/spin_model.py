@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -171,12 +171,14 @@ def build_h2(p: CouplingParams2Q) -> np.ndarray:
     return (couplings @ _H2_TERMS).reshape(16, 16)
 
 
+@cache
 def dfs_frame(n: int, excitations: int) -> SubspaceFrame:
     """Frame of all ``n``-qubit basis states with the given excitation count.
 
     The weight-1 sector of 3 qubits and the weight-2 sector of 4 qubits use
     the fixed orderings the effective Hamiltonians are written in; any other
-    sector is ordered lexicographically.
+    sector is ordered lexicographically.  Each frame is built once per
+    process and shared: it is frozen and its array is read-only.
     """
     if not 0 <= excitations <= n:
         raise ValueError(f"invalid excitation count {excitations} for {n} qubits")
@@ -224,12 +226,13 @@ def effective_subframe(frame: SubspaceFrame, labels) -> SubspaceFrame:
     return SubspaceFrame(frame.n_qubits, labels, vectors)
 
 
+@cache
 def logical_frame_1q(effective: bool = False) -> SubspaceFrame:
     """Logical qubit frame {|0_L>, |1_L>} = {|001>, |100>}.
 
     With ``effective=True`` the frame is expressed in the coordinates of the
     3-dimensional fixed-excitation sector instead of the full 8-dimensional
-    space.
+    space.  Built once per process and shared, like :func:`dfs_frame`.
     """
     sector = dfs3_frame()
     if effective:
@@ -237,8 +240,12 @@ def logical_frame_1q(effective: bool = False) -> SubspaceFrame:
     return basis_subframe(sector, LOGICAL_LABELS_1Q)
 
 
+@cache
 def logical_frame_2q(effective: bool = False) -> SubspaceFrame:
-    """Two-logical-qubit frame in the order {|00>, |01>, |10>, |11>}_L."""
+    """Two-logical-qubit frame in the order {|00>, |01>, |10>, |11>}_L.
+
+    ``effective`` and the sharing are as for :func:`logical_frame_1q`.
+    """
     sector = dfs6_frame()
     if effective:
         return effective_subframe(sector, LOGICAL_LABELS_2Q)

@@ -277,6 +277,16 @@ class TestClassify:
         shape.write_text(json.dumps([[1, 2], [3, 4]]))
         assert run(["classify", str(shape)]) == 5
 
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_integer_beyond_float_range_exits_5(self, tmp_path, capsys, digits):
+        # 10**400 overflows float(); 5001 digits exceed Python's default
+        # limit on integer-string conversion inside json.load.
+        rows = [[[0, 0]] * 4 for _ in range(4)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(rows).replace("0", "1" + "0" * (digits - 1), 1))
+        assert run(["classify", str(path)]) == 5
+        assert str(path) in capsys.readouterr().err
+
     def test_missing_file_exits_5(self, tmp_path):
         assert run(["classify", str(tmp_path / "absent.json")]) == 5
 
@@ -513,6 +523,20 @@ def _reference_csv(table):
     return "\n".join(lines) + "\n"
 
 
+def _one_pass_csv(table):
+    # The one-pass writer that formatted every ratio at every grid point,
+    # which _sweep_csv replaced.
+    n = len(table.axis1)
+    columns = np.column_stack([
+        np.repeat(table.axis1, len(table.axis2)),
+        np.tile(table.axis2, n),
+        table.fidelity.ravel(),
+        table.leakage.ravel(),
+    ])
+    rows = "%.12g,%.12g,%.12g,%.12g\n" * len(columns) % tuple(columns.ravel().tolist())
+    return "ratio1,ratio2,fidelity,leakage\n" + rows
+
+
 _ratios = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 _fidelities = st.one_of(
     st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2**-53]),
@@ -537,6 +561,20 @@ class TestSweepCsv:
     @given(table=_tables())
     def test_matches_row_by_row_writer(self, table):
         assert cli._sweep_csv(table) == _reference_csv(table)
+
+    @settings(deadline=None, max_examples=200)
+    @given(table=_tables())
+    def test_matches_one_pass_writer(self, table):
+        assert cli._sweep_csv(table) == _one_pass_csv(table)
+
+    def test_matches_one_pass_writer_on_the_readme_grid(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--gate", "hadamard", "--min", "1", "--max", "100",
+                "--steps", "50", "--log"]
+        assert run(argv + ["--out", str(out)]) == 0
+        spec = SweepSpec(gate_target="hadamard", ratio_min=1.0, ratio_max=100.0,
+                         steps_per_axis=50)
+        assert out.read_text() == _one_pass_csv(run_sweep(spec))
 
     def test_matches_row_by_row_writer_on_a_real_sweep(self, tmp_path):
         out = tmp_path / "s.csv"

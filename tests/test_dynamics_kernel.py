@@ -1,9 +1,10 @@
-"""The stacked parallel-transport check against the loop it replaced, and
-the dynamics results against the gauge freedom of the eigenvectors.
+"""The stacked parallel-transport check against the loop it replaced and
+against the static block it equals, and the dynamics results against the
+gauge freedom of the eigenvectors.
 
 ``loop_max_logical_block`` is the per-sample loop ``evolve_and_project`` ran
-before its dynamics check was stacked; the stacked check does the same
-arithmetic per sampled time, so the two agree to roundoff.  Every reported
+before its dynamics check was stacked; the stacked check evaluates the same
+expression with its products regrouped, so the two agree to roundoff.  Every reported
 quantity is a function of the eigensystem that does not depend on the
 eigenvector basis, so re-phasing the eigenvectors and mixing them inside
 degenerate clusters must leave the reports unchanged to roundoff.
@@ -113,6 +114,28 @@ class TestStackedDynamicsCheck:
         ho.evolve_and_project(h, frame, 1.0, samples=300)
         with pytest.raises(ValueError, match="samples=301 exceeds MAX_TIME_SAMPLES=300"):
             ho.evolve_and_project(h, frame, 1.0, samples=301)
+
+
+class TestStaticBlockIdentity:
+    # For a constant h, U(t) commutes with h, so F(t)^dag h F(t) = F0^dag h F0
+    # at every t: the sampled maximum is the static block up to roundoff of
+    # a few ulps per term of the d-term sums (about 12 ulps worst in 20000
+    # random draws).
+    ULPS = 32
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.sampled_from([3, 6, 8, 16]), k=st.integers(1, 4), samples=SAMPLES,
+           tau=st.floats(0.05, 30.0), scale=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sampled_maximum_equals_the_static_block(self, dim, k, samples, tau, scale,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        h = 10.0**scale * unit_hermitian(rng, dim)
+        frame = random_frame(rng, dim, min(k, dim))
+        static = np.max(np.abs(frame.vectors.conj().T @ h @ frame.vectors))
+        report = ho.evolve_and_project(h, frame, tau, samples=samples)
+        bound = self.ULPS * np.finfo(float).eps * np.linalg.norm(h, 2)
+        assert abs(report.max_dynamical_norm - static) <= bound
 
 
 class TestPhasePrecisionGuard:

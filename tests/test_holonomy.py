@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -63,6 +64,33 @@ class TestSharedLoopMembers:
         assert (sector.size, logical.size) == sizes
         assert set(logical.labels) <= set(sector.labels)
         assert sector.dim == logical.dim == len(g.terms()[0])
+
+    @pytest.mark.parametrize("g", LOOPS)
+    def test_hamiltonian_is_the_first_term(self, g):
+        assert np.array_equal(g.hamiltonian(), g.terms()[0])
+
+    @pytest.mark.parametrize("g, other", zip(LOOPS, [ho.GateParams1Q(theta=0.2, phi=2.0),
+                                                     ho.GateParams2Q(theta_tilde=1.2)]))
+    @pytest.mark.parametrize("effective", [False, True])
+    def test_frames_are_shared_frozen_and_equal_to_fresh_ones(self, g, other, effective):
+        # The frames are built once per process: repeated calls, from any
+        # loop of the same kind, return the very same frozen objects.
+        sector, logical = g.frames(effective=effective)
+        for a, b, c in zip((sector, logical), g.frames(effective),
+                           other.frames(effective=effective)):
+            assert a is b is c
+            assert not a.vectors.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.labels = ()
+        assert logical.dim == (sector.size if effective else sector.dim)
+        build_logical = (sm.logical_frame_1q if isinstance(g, ho.GateParams1Q)
+                         else sm.logical_frame_2q).__wrapped__
+        fresh = (sm.dfs_frame.__wrapped__(sector.n_qubits, sector.labels[0].count("1")),
+                 build_logical(effective))
+        for cached, built in zip((sector, logical), fresh):
+            assert cached is not built
+            assert (cached.n_qubits, cached.labels) == (built.n_qubits, built.labels)
+            assert np.array_equal(cached.vectors, built.vectors)
 
 
 class TestAnalyticUTau:
