@@ -29,6 +29,11 @@ _EPS = float(np.finfo(float).eps)
 # how many sampled times it evaluates per stacked pass.
 MAX_TIME_SAMPLES = 1_000_000
 _TIME_CHUNK = 256
+# Fewer multiply-adds than this keep one gemm of that pass on one thread in
+# OpenBLAS, the BLAS that numpy wheels bundle: it threads a gemm from
+# m*n*k = 65536 on, and its threads then spin for a while after returning,
+# taking the CPUs that the Monte-Carlo workers of synth-2q run on next.
+_GEMM_SINGLE_THREAD = 65536
 
 
 def require_phase_precision(values: np.ndarray, tau: float, where: str = "",
@@ -321,9 +326,10 @@ def _max_logical_block(h: np.ndarray, values: np.ndarray, vectors: np.ndarray,
     m = vectors.conj().T @ h @ vectors
     times = np.linspace(0.0, tau, samples)
     d = len(values)
+    chunk = min(_TIME_CHUNK, max(1, (_GEMM_SINGLE_THREAD - 1) // (d * coeff.size)))
     max_dyn = 0.0
-    for start in range(0, samples, _TIME_CHUNK):
-        phases = np.exp(-1j * values[:, None] * times[start:start + _TIME_CHUNK])
+    for start in range(0, samples, chunk):
+        phases = np.exp(-1j * values[:, None] * times[start:start + chunk])
         evolved = coeff[:, :, None] * phases[:, None, :]
         moved = (m @ evolved.reshape(d, -1)).reshape(evolved.shape)
         block = coeff.conj().T @ (phases.conj()[:, None, :] * moved).reshape(d, -1)
@@ -352,7 +358,10 @@ def evolve_and_project(
     ``C(t)^dag (V^dag h V) C(t)`` with ``C(t) = exp(-i E t) V^dag F(0)``,
     so each chunk of at most ``_TIME_CHUNK`` times costs one matrix
     product over all its times plus one ``k``-row product, and memory
-    stays bounded whatever ``samples`` is.  For a constant Hamiltonian
+    stays bounded whatever ``samples`` is.  Chunks are shorter where that
+    product would otherwise be large enough for the BLAS to run it on
+    several threads (``_GEMM_SINGLE_THREAD``): 63 times for a 16-dim
+    Hamiltonian and a 4-dim frame.  For a constant Hamiltonian
     every sampled block equals the static block ``F(0)^dag h F(0)`` up to
     roundoff.
 
