@@ -4,10 +4,11 @@ gauge freedom of the eigenvectors.
 
 ``loop_max_logical_block`` is the per-sample loop ``evolve_and_project`` ran
 before its dynamics check was stacked; the stacked check evaluates the same
-expression with its products regrouped, so the two agree to roundoff.  Every reported
-quantity is a function of the eigensystem that does not depend on the
-eigenvector basis, so re-phasing the eigenvectors and mixing them inside
-degenerate clusters must leave the reports unchanged to roundoff.
+expression with its products regrouped, so the two agree to roundoff.
+Every reported quantity is a function of the eigensystem that does not
+depend on the eigenvector basis, so re-phasing the eigenvectors and mixing
+them inside degenerate clusters must leave the reports unchanged to
+roundoff.
 """
 
 import math
