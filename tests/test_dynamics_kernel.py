@@ -93,6 +93,17 @@ class TestStackedDynamicsCheck:
                                     np.array([[1.0], [0.0]], dtype=complex), 3.0, samples)
         assert got == pytest.approx(math.sin(1.5) ** 2, abs=1e-15)
 
+    def test_gemm_size_cap_can_cut_chunks_to_single_times(self, monkeypatch):
+        # A cap below one time's product leaves chunks of one sampled time.
+        monkeypatch.setattr(ho, "_GEMM_SINGLE_THREAD", 1)
+        rng = np.random.default_rng(11)
+        h = unit_hermitian(rng, 8)
+        values, vectors = rng.uniform(-1.0, 1.0, 8), random_unitary(rng, 8)
+        frame = random_unitary(rng, 8)[:, :3]
+        got = ho._max_logical_block(h, values, vectors, frame, 4.0, 37)
+        expected = loop_max_logical_block(h, values, vectors, frame, 4.0, 37)
+        assert abs(got - expected) <= DYN_TOL
+
     def test_memory_is_bounded_by_the_chunk(self):
         rng = np.random.default_rng(3)
         h = unit_hermitian(rng, 16)
