@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from .entanglement import (
+    CNOT_TOL,
     classify_gate,
     entangling_power_analytic,
     require_mc_samples,
@@ -54,7 +55,7 @@ TOLERANCES = {
     "leakage": 1e-10,
     "max_dynamical_norm": 1e-12,
     "input_unitarity": 1e-8,
-    "cnot_weyl": 1e-6,
+    "cnot_weyl": CNOT_TOL,
 }
 
 OUTPUT_DIR_ENV = "HOLODFS_OUTPUT_DIR"
@@ -111,17 +112,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(_encode(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_encode(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# The GateReport fields that verify checks against TOLERANCES.
+_CRITERIA = ("cyclicity_residual", "max_dynamical_norm", "leakage", "analytic_distance")
 
 
 def _report_block(report) -> dict:
-    return {
-        "holonomy": report.holonomy,
-        "cyclicity_residual": report.cyclicity_residual,
-        "max_dynamical_norm": report.max_dynamical_norm,
-        "leakage": report.leakage,
-        "analytic_distance": report.analytic_distance,
-    }
+    return {"holonomy": report.holonomy,
+            **{name: getattr(report, name) for name in _CRITERIA}}
 
 
 def _runs(params, ideal: np.ndarray, samples: int):
@@ -136,8 +136,8 @@ def _runs(params, ideal: np.ndarray, samples: int):
 
 
 def _check_distance(*reports) -> None:
-    worst = max(report.analytic_distance for report in reports)
-    if worst > TOLERANCES["analytic_distance"]:
+    worst = float(np.max([report.analytic_distance for report in reports]))
+    if not worst <= TOLERANCES["analytic_distance"]:
         raise CommandError(
             f"analytic distance {worst:.3e} exceeds tolerance "
             f"{TOLERANCES['analytic_distance']:.0e}",
@@ -262,16 +262,10 @@ def cmd_verify(args) -> int:
     effective, full = _runs(*_target(args), args.samples)
 
     def criteria(report) -> dict:
-        checks = {
-            "cyclicity_residual": report.cyclicity_residual,
-            "max_dynamical_norm": report.max_dynamical_norm,
-            "leakage": report.leakage,
-            "analytic_distance": report.analytic_distance,
-        }
         return {
-            name: {"value": value, "tolerance": TOLERANCES[name],
-                   "pass": bool(value <= TOLERANCES[name])}
-            for name, value in checks.items()
+            name: {"value": getattr(report, name), "tolerance": TOLERANCES[name],
+                   "pass": bool(getattr(report, name) <= TOLERANCES[name])}
+            for name in _CRITERIA
         }
 
     blocks = {"effective": criteria(effective), "full": criteria(full)}
@@ -435,7 +429,7 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--samples", type=int, default=100_000,
                    help="Monte-Carlo samples for the entangling power")
     c.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
-    c.add_argument("--cnot-tol", type=float, default=1e-6,
+    c.add_argument("--cnot-tol", type=float, default=CNOT_TOL,
                    help="Weyl-distance tolerance for CNOT equivalence")
     c.add_argument("--out", help="output file (default: stdout)")
     c.set_defaults(func=cmd_classify)

@@ -46,6 +46,10 @@ _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
 _COORD_MIX = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
 
 CNOT_POINT = (math.pi / 2, 0.0, 0.0)
+# Default tolerances: the unitarity defect a gate may show, and the Weyl
+# distance, per coordinate, within which it counts as CNOT-equivalent.
+UNITARITY_TOL = 1e-10
+CNOT_TOL = 1e-6
 
 # Largest Monte-Carlo sample count: the entropy vector takes 8 bytes per
 # sample, so the cap bounds it at 80 MB.  The standard error is taken in
@@ -88,12 +92,12 @@ def require_unitary(u: np.ndarray, tol: float) -> np.ndarray:
     if not np.isfinite(u).all():
         raise ValueError("matrix has non-finite (NaN or infinite) entries")
     defect = unitarity_defect(u)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {tol:.0e}")
     return u
 
 
-def local_invariants(u: np.ndarray, tol: float = 1e-10) -> tuple[complex, float]:
+def local_invariants(u: np.ndarray, tol: float = UNITARITY_TOL) -> tuple[complex, float]:
     """Makhlin local invariants (G1, G2) of a two-qubit unitary.
 
     G1 is complex in general, G2 real; both are unchanged under
@@ -121,7 +125,7 @@ def _invariants_from_weyl(c1: float, c2: float, c3: float) -> tuple[complex, flo
     return complex(g1_re, g1_im), g2
 
 
-def weyl_coordinates(u: np.ndarray, tol: float = 1e-10) -> tuple[float, float, float]:
+def weyl_coordinates(u: np.ndarray, tol: float = UNITARITY_TOL) -> tuple[float, float, float]:
     """Canonical Weyl-chamber point (c1, c2, c3) of a two-qubit unitary.
 
     The eigenphases of ``u (YY u^T YY) / sqrt(det u)`` carry the coordinates
@@ -157,7 +161,7 @@ def _weyl_coordinates(
     g1_direct, g2_direct = invariants
     g1_chamber, g2_chamber = _invariants_from_weyl(*coords)
     mismatch = abs(g1_direct - g1_chamber) + abs(g2_direct - g2_chamber)
-    if mismatch > 1e-7:
+    if not mismatch <= 1e-7:
         raise RuntimeError(
             f"phase unwrapping ambiguity: chamber point {coords} disagrees with "
             f"local invariants (mismatch {mismatch:.3e})"
@@ -335,7 +339,7 @@ def is_cnot_point(weyl: tuple[float, float, float], tol: float) -> bool:
     return all(abs(c - ref) <= tol for c, ref in zip(weyl, CNOT_POINT))
 
 
-def is_cnot_class(u: np.ndarray, tol: float = 1e-6) -> bool:
+def is_cnot_class(u: np.ndarray, tol: float = CNOT_TOL) -> bool:
     """Whether the canonical Weyl point of ``u`` lies at L = (pi/2, 0, 0)."""
     return is_cnot_point(weyl_coordinates(u), tol)
 
@@ -344,8 +348,8 @@ def classify_gate(
     u: np.ndarray,
     ep_samples: int = 100_000,
     seed: int = 0,
-    cnot_tol: float = 1e-6,
-    tol: float = 1e-10,
+    cnot_tol: float = CNOT_TOL,
+    tol: float = UNITARITY_TOL,
 ) -> EntanglementReport:
     """Full classification of an arbitrary two-qubit unitary.
 

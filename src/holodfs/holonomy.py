@@ -25,11 +25,10 @@ from .spin_model import SIGMA_X, SIGMA_Z, CouplingParams1Q, CouplingParams2Q, Su
 PHASE_ROUNDOFF_LIMIT = 1e-9
 _EPS = float(np.finfo(float).eps)
 
-# Most time samples the dynamics check of evolve_and_project accepts, and
-# how many sampled times it evaluates per stacked pass.
+# Most time samples the dynamics check of evolve_and_project accepts.
 MAX_TIME_SAMPLES = 1_000_000
-_TIME_CHUNK = 256
-# Fewer multiply-adds than this keep one gemm of that pass on one thread in
+# The check evaluates as many sampled times per stacked pass as keep its
+# gemm below this many multiply-adds, which holds the pass on one thread in
 # OpenBLAS, the BLAS that numpy wheels bundle: it threads a gemm from
 # m*n*k = 65536 on, and its threads then spin for a while after returning,
 # taking the CPUs that the Monte-Carlo workers of synth-2q run on next.
@@ -326,7 +325,7 @@ def _max_logical_block(h: np.ndarray, values: np.ndarray, vectors: np.ndarray,
     m = vectors.conj().T @ h @ vectors
     times = np.linspace(0.0, tau, samples)
     d = len(values)
-    chunk = min(_TIME_CHUNK, max(1, (_GEMM_SINGLE_THREAD - 1) // (d * coeff.size)))
+    chunk = max(1, (_GEMM_SINGLE_THREAD - 1) // (d * coeff.size))
     max_dyn = 0.0
     for start in range(0, samples, chunk):
         phases = np.exp(-1j * values[:, None] * times[start:start + chunk])
@@ -356,14 +355,13 @@ def evolve_and_project(
     those times, with ``F(t) = V exp(-i E t) V^dag F(0)`` for the
     eigensystem ``(E, V)`` of ``h``.  It is evaluated regrouped as
     ``C(t)^dag (V^dag h V) C(t)`` with ``C(t) = exp(-i E t) V^dag F(0)``,
-    so each chunk of at most ``_TIME_CHUNK`` times costs one matrix
-    product over all its times plus one ``k``-row product, and memory
-    stays bounded whatever ``samples`` is.  Chunks are shorter where that
-    product would otherwise be large enough for the BLAS to run it on
-    several threads (``_GEMM_SINGLE_THREAD``): 63 times for a 16-dim
-    Hamiltonian and a 4-dim frame.  For a constant Hamiltonian
-    every sampled block equals the static block ``F(0)^dag h F(0)`` up to
-    roundoff.
+    so each chunk of times costs one matrix product over all its times
+    plus one ``k``-row product.  A chunk holds as many times as keep that
+    product on one BLAS thread (``_GEMM_SINGLE_THREAD``), which also bounds
+    memory whatever ``samples`` is: 3640 times and 0.35 MB per chunk array
+    for a 3-dim Hamiltonian and a 2-dim frame, 63 times for 16 and 4.  For
+    a constant Hamiltonian every sampled block equals the static block
+    ``F(0)^dag h F(0)`` up to roundoff.
 
     Raises ``ValueError`` when ``samples`` is below 2 or above
     ``MAX_TIME_SAMPLES`` (checked before anything is allocated), and when
@@ -430,7 +428,7 @@ def discretized_holonomy(
 
     def checked(overlap: np.ndarray, index: int) -> np.ndarray:
         smallest = np.linalg.svd(overlap, compute_uv=False).min()
-        if smallest < 0.5:
+        if not smallest >= 0.5:
             raise RuntimeError(
                 f"overlap rank collapse at segment {index} (sigma_min="
                 f"{smallest:.3f}); reduce the step size tau/steps"

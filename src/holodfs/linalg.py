@@ -7,10 +7,11 @@ and accurate; no sparse or iterative machinery is used.  :func:`eigh` is
 the one place the package diagonalizes, single matrices and stacks alike.
 
 Tolerances are named where they are enforced: ``ATOL_CONSTRUCTION``
-(1e-12, Hermiticity and Gram matrices) below, the ``tol`` arguments of
-``entanglement`` (1e-10 unitarity by default), ``holonomy``'s
-``PHASE_ROUNDOFF_LIMIT`` (1e-9, float64 roundoff of the loop phases) and
-the verification thresholds in ``cli.TOLERANCES``.
+(1e-12; Hermiticity, which :func:`require_hermitian` refuses, and Gram
+matrices) below, ``entanglement``'s ``UNITARITY_TOL`` (1e-10) and
+``CNOT_TOL`` (1e-6), ``holonomy``'s ``PHASE_ROUNDOFF_LIMIT`` (1e-9, loop
+phase roundoff), ``noise``'s ``_NORM_SLACK`` and ``cli.TOLERANCES``.  Each
+guard reads ``not value <= limit``, so that a NaN fails it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of ``m`` (a matrix or a stack) from its adjoint."""
     m = np.asarray(m, dtype=complex)
     return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+
+
+def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
+    """Refuse ``h`` (a matrix or a stack) unless Hermitian to ``ATOL_CONSTRUCTION``,
+    naming ``what`` and the maximal asymmetry (``nan`` for non-finite entries)."""
+    defect = hermiticity_defect(h)
+    if not defect <= ATOL_CONSTRUCTION:
+        raise ValueError(f"{what} is not Hermitian: max asymmetry {defect:.3e} "
+                         f"exceeds {ATOL_CONSTRUCTION:.0e}")
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -41,17 +51,12 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     this package derives from the pair (``V exp(-iEt) V^dag``, projected
     blocks, leakage) is independent of that choice.
 
-    Raises ``ValueError`` when any matrix is not Hermitian, reporting the
-    maximal asymmetry (``nan`` for non-finite entries): LAPACK reads only
-    one triangle, so a bad entry in the other would otherwise pass unseen.
+    Raises ``ValueError`` when any matrix is not Hermitian (see
+    :func:`require_hermitian`): LAPACK reads only one triangle, so a bad
+    entry in the other would otherwise pass unseen.
     """
     h = np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(h)
-    if not defect <= ATOL_CONSTRUCTION:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
-            f"{ATOL_CONSTRUCTION:.0e}"
-        )
+    require_hermitian(h)
     return np.linalg.eigh(h)
 
 

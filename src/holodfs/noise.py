@@ -42,6 +42,9 @@ GATE_PRESETS = {
 # CSV rendering of a grid this size is already about 15 MB.
 MAX_SWEEP_POINTS = 250_000
 
+# Roundoff allowed in the operator norm (at most 1) of a projected block.
+_NORM_SLACK = 1e-9
+
 # Grid points run_sweep evaluates per pass: whole rows, as many as fit (at
 # least one), which bounds its temporaries whatever the grid size.
 SWEEP_CHUNK_POINTS = 1024
@@ -144,7 +147,7 @@ def gate_fidelity(ideal: np.ndarray, actual_projected: np.ndarray) -> float | np
     if not np.isfinite(actual).all():
         raise ValueError("projected block has non-finite (NaN or infinite) entries")
     top = np.max(np.linalg.norm(actual, ord=2, axis=(-2, -1)))
-    if top > 1.0 + 1e-9:
+    if not top <= 1.0 + _NORM_SLACK:
         raise ValueError(f"projected block has operator norm {top:.6f} > 1")
     k = ideal.shape[0]
     overlap = np.abs(np.einsum("ab,...ab->...", ideal.conj(), actual)) ** 2
@@ -230,12 +233,7 @@ def _lambda_blocks(terms, sector: SubspaceFrame, logical: SubspaceFrame):
     # nonzero entry, like a non-Hermitian term, is refused, so the closed
     # form of run_sweep never meets another Hamiltonian.
     stack = np.asarray(terms, dtype=complex)
-    defect = linalg.hermiticity_defect(stack)
-    if not defect <= linalg.ATOL_CONSTRUCTION:
-        raise ValueError(
-            f"sector Hamiltonian is not Hermitian: max asymmetry {defect:.3e} "
-            f"exceeds {linalg.ATOL_CONSTRUCTION:.0e}"
-        )
+    linalg.require_hermitian(stack, "sector Hamiltonian")
     labels = sector.labels
     ground = [labels.index(label) for label in logical.labels]
     excited = [i for i in range(len(labels)) if i not in ground]
@@ -333,7 +331,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         a = np.exp(-0.5j * tau * delta) * (
             np.cos(phase) + 1j * (delta / 2 / alpha) * np.sin(phase))
         norm = np.abs(a)
-        if not np.max(norm) <= 1.0 + 1e-9:
+        if not np.max(norm) <= 1.0 + _NORM_SLACK:
             raise ValueError(f"projected block has operator norm {np.max(norm):.6f} > 1")
         # c underflows to 0 where a loop with no exchange coupling meets DM
         # strengths below the float range; the block is then the identity.

@@ -96,7 +96,7 @@ class SubspaceFrame:
         if vectors.ndim != 2 or vectors.shape[1] != len(self.labels):
             raise ValueError("one column per label required")
         gram_dev = np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1])))
-        if gram_dev > ATOL_CONSTRUCTION:
+        if not gram_dev <= ATOL_CONSTRUCTION:
             raise ValueError(f"frame not orthonormal: Gram deviation {gram_dev:.3e}")
         weights = {label.count("1") for label in self.labels}
         if len(weights) > 1:
@@ -111,9 +111,6 @@ class SubspaceFrame:
     @property
     def size(self) -> int:
         return self.vectors.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.vectors @ self.vectors.conj().T
 
 
 def pauli_on(n: int, j: int, axis: str) -> np.ndarray:
@@ -206,24 +203,13 @@ def dfs6_frame() -> SubspaceFrame:
     return dfs_frame(4, 2)
 
 
-def basis_subframe(frame: SubspaceFrame, labels) -> SubspaceFrame:
-    """Sub-frame of ``frame`` keeping the named columns, still in full space."""
-    labels = tuple(labels)
-    columns = [frame.labels.index(label) for label in labels]
-    return SubspaceFrame(frame.n_qubits, labels, frame.vectors[:, columns])
-
-
-def effective_subframe(frame: SubspaceFrame, labels) -> SubspaceFrame:
-    """Sub-frame of ``frame`` expressed in the frame's own coordinates.
-
-    The result lives in the k-dimensional effective space where operators
-    produced by :func:`restrict` act.
-    """
-    labels = tuple(labels)
-    vectors = np.zeros((frame.size, len(labels)), dtype=complex)
-    for col, label in enumerate(labels):
-        vectors[frame.labels.index(label), col] = 1.0
-    return SubspaceFrame(frame.n_qubits, labels, vectors)
+def _logical_frame(sector: SubspaceFrame, labels, effective: bool) -> SubspaceFrame:
+    # The named columns of the sector frame: its vectors in full space, or
+    # the identity's columns in the sector's own coordinates, where the
+    # operators produced by restrict act.
+    columns = [sector.labels.index(label) for label in labels]
+    vectors = np.eye(sector.size) if effective else sector.vectors
+    return SubspaceFrame(sector.n_qubits, labels, vectors[:, columns])
 
 
 @cache
@@ -234,10 +220,7 @@ def logical_frame_1q(effective: bool = False) -> SubspaceFrame:
     3-dimensional fixed-excitation sector instead of the full 8-dimensional
     space.  Built once per process and shared, like :func:`dfs_frame`.
     """
-    sector = dfs3_frame()
-    if effective:
-        return effective_subframe(sector, LOGICAL_LABELS_1Q)
-    return basis_subframe(sector, LOGICAL_LABELS_1Q)
+    return _logical_frame(dfs3_frame(), LOGICAL_LABELS_1Q, effective)
 
 
 @cache
@@ -246,10 +229,7 @@ def logical_frame_2q(effective: bool = False) -> SubspaceFrame:
 
     ``effective`` and the sharing are as for :func:`logical_frame_1q`.
     """
-    sector = dfs6_frame()
-    if effective:
-        return effective_subframe(sector, LOGICAL_LABELS_2Q)
-    return basis_subframe(sector, LOGICAL_LABELS_2Q)
+    return _logical_frame(dfs6_frame(), LOGICAL_LABELS_2Q, effective)
 
 
 def restrict(h: np.ndarray, frame: SubspaceFrame) -> tuple[np.ndarray, float]:
@@ -257,10 +237,11 @@ def restrict(h: np.ndarray, frame: SubspaceFrame) -> tuple[np.ndarray, float]:
 
     Returns ``(effective, invariance_residual)`` where
     ``effective[a, b] = <f_a| h |f_b>`` and the residual is the Frobenius
-    norm of ``(I - P) h P`` with ``P`` the frame projector.  The residual
+    norm of ``h F - F effective``, for frame vectors ``F``: that is
+    ``(I - P) h P`` on the frame's range, with ``P = F F^dag``, and it
     vanishes exactly when the frame spans an invariant subspace of ``h``.
     """
     effective = project_onto(h, frame)
-    p = frame.projector()
-    residual = float(np.linalg.norm((np.eye(len(p)) - p) @ h @ p))
+    f = frame.vectors
+    residual = float(np.linalg.norm(h @ f - f @ effective))
     return effective, residual

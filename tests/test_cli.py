@@ -333,6 +333,22 @@ class TestClassify:
         assert run(["classify", str(matrix_path)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflowing_gram_product_exits_2(self, tmp_path, capsys):
+        # Finite entries whose Gram product overflows: the unitarity defect
+        # is NaN, which the guard refuses instead of reporting NaN numbers.
+        matrix = np.eye(4, dtype=complex)
+        matrix[3, 3] = 1e308 + 1e308j
+        matrix_path = tmp_path / "m.json"
+        write_matrix(matrix_path, matrix)
+        out = tmp_path / "c.json"
+        assert run(["classify", str(matrix_path), "--out", str(out)]) == 2
+        assert "matrix is not unitary: defect nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reports_never_hold_non_json_numbers(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_text({"ep": math.nan})
+
 
 class TestInvariantsOnce:
     @pytest.mark.parametrize("argv", [

@@ -23,15 +23,29 @@ from hypothesis import strategies as st
 from randmat import random_hermitian, random_unitary
 from holodfs import holonomy as ho
 from holodfs import linalg
-from holodfs.spin_model import SubspaceFrame, effective_subframe, restrict
+from holodfs.spin_model import SubspaceFrame, restrict
 
 DYN_TOL = 1e-15
-# Sample counts on and around one and two chunks, then arbitrary ones.
-SAMPLES = st.one_of(
-    st.sampled_from([2, ho._TIME_CHUNK - 1, ho._TIME_CHUNK, ho._TIME_CHUNK + 1,
-                     2 * ho._TIME_CHUNK, 2 * ho._TIME_CHUNK + 1]),
-    st.integers(2, 600),
-)
+
+
+def chunk_length(dim, k):
+    # Sampled times per stacked pass for a dim x dim Hamiltonian and a k-dim
+    # frame: as many as keep one gemm below the single-thread size.
+    return max(1, (ho._GEMM_SINGLE_THREAD - 1) // (dim * dim * k))
+
+
+@st.composite
+def routes(draw):
+    # A Hamiltonian dimension, a frame width and a sample count on and
+    # around one and two chunks of that route, or an arbitrary one.
+    dim = draw(st.sampled_from([3, 6, 8, 16]))
+    k = draw(st.integers(1, min(4, dim)))
+    chunk = chunk_length(dim, k)
+    samples = draw(st.one_of(
+        st.sampled_from([2, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1]),
+        st.integers(2, 600),
+    ))
+    return dim, k, samples
 
 
 def loop_max_logical_block(h, values, vectors, frame, tau, samples):
@@ -57,28 +71,28 @@ def unit_hermitian(rng, dim):
 
 class TestStackedDynamicsCheck:
     @settings(max_examples=80, deadline=None)
-    @given(dim=st.sampled_from([3, 6, 8, 16]), k=st.integers(1, 4), samples=SAMPLES,
-           tau=st.floats(0.05, 30.0), seed=st.integers(0, 2**32 - 1))
-    def test_matches_loop_on_random_hamiltonians(self, dim, k, samples, tau, seed):
+    @given(route=routes(), tau=st.floats(0.05, 30.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_on_random_hamiltonians(self, route, tau, seed):
+        dim, k, samples = route
         rng = np.random.default_rng(seed)
         h = unit_hermitian(rng, dim)
-        frame = random_frame(rng, dim, min(k, dim))
+        frame = random_frame(rng, dim, k)
         report = ho.evolve_and_project(h, frame, tau, samples=samples)
         values, vectors = linalg.eigh(h)
         expected = loop_max_logical_block(h, values, vectors, frame.vectors, tau, samples)
         assert abs(report.max_dynamical_norm - expected) <= DYN_TOL
 
     @settings(max_examples=80, deadline=None)
-    @given(dim=st.sampled_from([3, 6, 8, 16]), k=st.integers(1, 4), samples=SAMPLES,
-           tau=st.floats(0.05, 30.0), seed=st.integers(0, 2**32 - 1))
-    def test_matches_loop_when_the_block_moves(self, dim, k, samples, tau, seed):
+    @given(route=routes(), tau=st.floats(0.05, 30.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_when_the_block_moves(self, route, tau, seed):
         # A basis that does not diagonalise h makes the logical block vary
         # with time, so every sampled time can set the maximum.
+        dim, k, samples = route
         rng = np.random.default_rng(seed)
         h = unit_hermitian(rng, dim)
         values = rng.uniform(-1.0, 1.0, dim)
         vectors = random_unitary(rng, dim)
-        frame = random_unitary(rng, dim)[:, :min(k, dim)]
+        frame = random_unitary(rng, dim)[:, :k]
         got = ho._max_logical_block(h, values, vectors, frame, tau, samples)
         expected = loop_max_logical_block(h, values, vectors, frame, tau, samples)
         assert abs(got - expected) <= DYN_TOL
@@ -104,10 +118,11 @@ class TestStackedDynamicsCheck:
         expected = loop_max_logical_block(h, values, vectors, frame, 4.0, 37)
         assert abs(got - expected) <= DYN_TOL
 
-    def test_memory_is_bounded_by_the_chunk(self):
+    @pytest.mark.parametrize("dim, k", [(3, 2), (16, 4)])
+    def test_memory_is_bounded_by_the_chunk(self, dim, k):
         rng = np.random.default_rng(3)
-        h = unit_hermitian(rng, 16)
-        frame = random_frame(rng, 16, 4)
+        h = unit_hermitian(rng, dim)
+        frame = random_frame(rng, dim, k)
         tracemalloc.start()
         try:
             ho.evolve_and_project(h, frame, 5.0, samples=100_000)
@@ -115,7 +130,8 @@ class TestStackedDynamicsCheck:
         finally:
             tracemalloc.stop()
         # One unchunked (100000, 16, 4) complex stack alone would be 102 MB;
-        # the sample times themselves are 0.8 MB.
+        # a 3 x 2 chunk of 3640 times is 0.35 MB per array, and the sample
+        # times themselves are 0.8 MB.
         assert peak < 4_000_000
 
     def test_sample_cap_edge(self, monkeypatch):
@@ -136,14 +152,13 @@ class TestStaticBlockIdentity:
     ULPS = 32
 
     @settings(max_examples=80, deadline=None)
-    @given(dim=st.sampled_from([3, 6, 8, 16]), k=st.integers(1, 4), samples=SAMPLES,
-           tau=st.floats(0.05, 30.0), scale=st.floats(-3.0, 3.0),
+    @given(route=routes(), tau=st.floats(0.05, 30.0), scale=st.floats(-3.0, 3.0),
            seed=st.integers(0, 2**32 - 1))
-    def test_sampled_maximum_equals_the_static_block(self, dim, k, samples, tau, scale,
-                                                     seed):
+    def test_sampled_maximum_equals_the_static_block(self, route, tau, scale, seed):
+        dim, k, samples = route
         rng = np.random.default_rng(seed)
         h = 10.0**scale * unit_hermitian(rng, dim)
-        frame = random_frame(rng, dim, min(k, dim))
+        frame = random_frame(rng, dim, k)
         static = np.max(np.abs(frame.vectors.conj().T @ h @ frame.vectors))
         report = ho.evolve_and_project(h, frame, tau, samples=samples)
         bound = self.ULPS * np.finfo(float).eps * np.linalg.norm(h, 2)
@@ -189,7 +204,7 @@ def loop_cases():
         sector, logical = g.frames()
         h_eff, _ = restrict(h, sector)
         yield h, logical, g.tau
-        yield h_eff, effective_subframe(sector, logical.labels), g.tau
+        yield h_eff, g.frames(effective=True)[1], g.tau
 
 
 CASES = list(loop_cases())

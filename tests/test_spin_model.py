@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from randmat import random_hermitian, random_unitary
+from holodfs import holonomy as ho
 from holodfs import spin_model as sm
 
 
@@ -231,6 +233,12 @@ class TestSubspaceFrame:
         with pytest.raises(ValueError, match="Gram"):
             sm.SubspaceFrame(n_qubits=1, labels=("0", "1"), vectors=vectors)
 
+    def test_rejects_nan_column(self):
+        vectors = np.eye(3, 2, dtype=complex)
+        vectors[0, 1] = np.nan
+        with pytest.raises(ValueError, match="Gram deviation nan"):
+            sm.SubspaceFrame(n_qubits=2, labels=("01", "10"), vectors=vectors)
+
     def test_rejects_mixed_weights(self):
         with pytest.raises(ValueError, match="excitation"):
             sm.SubspaceFrame(
@@ -243,7 +251,36 @@ class TestSubspaceFrame:
             frame.vectors[0, 0] = 5.0
 
 
+def projector_residual(h, frame):
+    # The invariance residual in its projector form ||(I - P) h P||_F.
+    p = frame.vectors @ frame.vectors.conj().T
+    return float(np.linalg.norm((np.eye(len(p)) - p) @ h @ p))
+
+
 class TestRestrict:
+    @settings(deadline=None, max_examples=200)
+    @given(dim=st.sampled_from([3, 6, 8, 16]), k=st.integers(1, 6),
+           scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_residual_equals_the_projector_form(self, dim, k, scale, seed):
+        rng = np.random.default_rng(seed)
+        h = 10.0**scale * random_hermitian(rng, dim)
+        k = min(k, dim)
+        frame = sm.SubspaceFrame(n_qubits=4, labels=tuple("x" * (i + 1) for i in range(k)),
+                                 vectors=random_unitary(rng, dim)[:, :k])
+        _, residual = sm.restrict(h, frame)
+        bound = 8 * np.finfo(float).eps * np.linalg.norm(h)
+        assert abs(residual - projector_residual(h, frame)) <= bound
+
+    @pytest.mark.parametrize("g", [ho.params_for_rotation(3 * math.pi / 4, math.pi),
+                                   ho.params_for_rotation(1.1, 2.0, m=2, omega=2.5),
+                                   ho.GateParams2Q(theta_tilde=0.6)])
+    def test_loop_terms_match_the_projector_form_exactly(self, g):
+        sector, _ = g.frames()
+        for term in g.terms():
+            effective, residual = sm.restrict(term, sector)
+            assert np.array_equal(effective, sector.vectors.conj().T @ term @ sector.vectors)
+            assert residual == projector_residual(term, sector)
+
     def test_weight_zero_sector(self):
         b = 0.45
         h = sm.build_h1(sm.CouplingParams1Q(j1a=0.3, j2a=0.1, b=b))
