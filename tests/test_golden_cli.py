@@ -24,7 +24,7 @@ def test_input_matrices_are_what_their_names_say():
     assert unitarity_defect(matrices["scaled.json"]) == 3.0
 
 
-def test_invocations_have_distinct_names_and_read_only_their_inputs(tmp_path):
+def test_invocations_have_distinct_names_and_their_inputs_are_written(tmp_path):
     names = [name for name, _ in golden_cli.INVOCATIONS]
     assert len(set(names)) == len(names)
     golden_cli._write_matrices(tmp_path)

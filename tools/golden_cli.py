@@ -129,6 +129,8 @@ INVOCATIONS = [
     ("classify_cphase", ["classify", "cphase.json", "--cnot-tol", "0.5", "--out", "cphase.out"]),
     ("help", ["--help"]),
     ("help_synth1q", ["synth-1q", "--help"]),
+    ("help_synth2q", ["synth-2q", "--help"]),
+    ("help_verify", ["verify", "--help"]),
     ("help_classify", ["classify", "--help"]),
     ("help_sweep", ["sweep", "--help"]),
     ("refuse_classify_overflow", ["classify", "overflow.json"]),
