@@ -26,7 +26,6 @@ from .spin_model import (
     logical_frame_2q,
     pauli_on,
     restrict,
-    total_sz,
 )
 from .holonomy import (
     GateParams1Q,
@@ -34,7 +33,6 @@ from .holonomy import (
     GateReport,
     analytic_gate_1q,
     analytic_gate_2q,
-    analytic_u_tau,
     discretized_holonomy,
     evolve_and_project,
     params_for_rotation,
@@ -76,13 +74,11 @@ __all__ = [
     "logical_frame_2q",
     "pauli_on",
     "restrict",
-    "total_sz",
     "GateParams1Q",
     "GateParams2Q",
     "GateReport",
     "analytic_gate_1q",
     "analytic_gate_2q",
-    "analytic_u_tau",
     "discretized_holonomy",
     "evolve_and_project",
     "params_for_rotation",

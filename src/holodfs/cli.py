@@ -31,14 +31,8 @@ from .entanglement import (
     require_mc_seed,
 )
 from .linalg import unitarity_defect
-from .holonomy import (
-    GateParams2Q,
-    analytic_gate_1q,
-    analytic_gate_2q,
-    evolve_and_project,
-    params_for_rotation,
-)
-from .noise import GATE_PRESETS, SweepSpec, run_sweep
+from .holonomy import GATE_PRESETS, evolve_and_project, loop_target
+from .noise import SweepSpec, run_sweep
 from .spin_model import restrict
 # Bound only for bench/tests/test_bench.py, which checks that tracing patches them here.
 from .spin_model import build_h1, build_h2  # noqa: F401
@@ -145,24 +139,28 @@ def _check_distance(*reports) -> None:
         )
 
 
-def _resolve_1q_target(args) -> tuple[float, float]:
+def _given(args, *flags) -> dict:
+    # The flags among ``flags`` that the command line set, by name.
+    return {flag: getattr(args, flag) for flag in flags
+            if getattr(args, flag, None) is not None}
+
+
+def _target_1q(args):
+    # The requested angles (theta, gamma), and the loop parameters and
+    # ideal gate they select.
     if args.gate is not None:
         if args.theta is not None or args.gamma is not None:
             raise CommandError(
                 "--gate conflicts with --theta/--gamma", EXIT_VALIDATION
             )
-        return GATE_PRESETS[args.gate]
-    if args.theta is None or args.gamma is None:
+        angles = GATE_PRESETS[args.gate]
+    elif args.theta is None or args.gamma is None:
         raise CommandError(
             "provide --gate or both --theta and --gamma", EXIT_VALIDATION
         )
-    return args.theta, args.gamma
-
-
-def _given(args, *flags) -> dict:
-    # The flags among ``flags`` that the command line set, by name.
-    return {flag: getattr(args, flag) for flag in flags
-            if getattr(args, flag, None) is not None}
+    else:
+        angles = args.theta, args.gamma
+    return angles, loop_target(*angles, **_given(args, "m", "omega"))
 
 
 def _target(args):
@@ -170,28 +168,23 @@ def _target(args):
 
     ``--theta-tilde`` selects the two-qubit loop.  Flags of the other loop
     are refused; windings and energy scales left unset take the defaults of
-    ``GateParams2Q`` and ``params_for_rotation``.
+    ``loop_target``.
     """
     if getattr(args, "theta_tilde", None) is not None:
         for flag in _given(args, "gate", "theta", "gamma", "m", "omega"):
             raise CommandError(f"--theta-tilde conflicts with --{flag}", EXIT_VALIDATION)
-        params = GateParams2Q(theta_tilde=args.theta_tilde,
-                              **_given(args, "m_tilde", "omega_tilde"))
-        return params, analytic_gate_2q(params.theta_tilde)
+        scales = _given(args, "m_tilde", "omega_tilde")
+        return loop_target(theta_tilde=args.theta_tilde,
+                           **{flag.removesuffix("_tilde"): v for flag, v in scales.items()})
     for flag in _given(args, "m_tilde", "omega_tilde"):
         raise CommandError(
             f"--{flag.replace('_', '-')} applies only with --theta-tilde", EXIT_VALIDATION
         )
-    theta, gamma = _resolve_1q_target(args)
-    # The ideal comes from the requested angles: params.gamma went through
-    # acos and can differ from gamma in its last bits.
-    params = params_for_rotation(theta, gamma, **_given(args, "m", "omega"))
-    return params, analytic_gate_1q(theta, gamma)
+    return _target_1q(args)[1]
 
 
 def cmd_synth_1q(args) -> int:
-    theta, gamma = _resolve_1q_target(args)
-    params, ideal = _target(args)
+    (theta, gamma), (params, ideal) = _target_1q(args)
     effective, full = _runs(params, ideal, args.samples)
     couplings = params.couplings()
     payload = {
@@ -347,24 +340,19 @@ def _sweep_csv(table) -> str:
 
 
 def cmd_sweep(args) -> int:
-    gate = args.gate.replace("-", "_")
-    try:
-        spec = SweepSpec(
-            gate_target=gate,
-            ratio_min=args.min,
-            ratio_max=args.max,
-            steps_per_axis=args.steps,
-            log_scale=not args.linear,
-            theta=args.theta,
-            gamma=args.gamma,
-            theta_tilde=args.theta_tilde,
-            m=args.m,
-            omega=args.omega,
-        )
-        table = run_sweep(spec)
-    except ValueError as exc:
-        raise CommandError(str(exc), EXIT_VALIDATION)
-    _emit(_sweep_csv(table), args.out)
+    spec = SweepSpec(
+        gate_target=args.gate.replace("-", "_"),
+        ratio_min=args.min,
+        ratio_max=args.max,
+        steps_per_axis=args.steps,
+        log_scale=not args.linear,
+        theta=args.theta,
+        gamma=args.gamma,
+        theta_tilde=args.theta_tilde,
+        m=args.m,
+        omega=args.omega,
+    )
+    _emit(_sweep_csv(run_sweep(spec)), args.out)
     return EXIT_OK
 
 

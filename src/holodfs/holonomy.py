@@ -99,13 +99,11 @@ class GateParams1Q:
     def gamma(self) -> float:
         return self.m * math.pi * (math.cos(self.phi) + 1.0)
 
-    def couplings(self, d1a_z: float = 0.0, d2a_z: float = 0.0) -> CouplingParams1Q:
+    def couplings(self) -> CouplingParams1Q:
         return CouplingParams1Q(
             j1a=self.omega * math.sin(self.phi) * math.cos(self.theta / 2),
             j2a=self.omega * math.sin(self.phi) * math.sin(self.theta / 2),
             b=self.omega * math.cos(self.phi),
-            d1a_z=d1a_z,
-            d2a_z=d2a_z,
         )
 
     def hamiltonian(self) -> np.ndarray:
@@ -167,12 +165,10 @@ class GateParams2Q:
     def tau(self) -> float:
         return self.m_tilde * math.pi / self.omega_tilde
 
-    def couplings(self, d32_z: float = 0.0, d42_z: float = 0.0) -> CouplingParams2Q:
+    def couplings(self) -> CouplingParams2Q:
         return CouplingParams2Q(
             j32=self.omega_tilde * math.sin(self.theta_tilde / 2),
             j42=self.omega_tilde * math.cos(self.theta_tilde / 2),
-            d32_z=d32_z,
-            d42_z=d42_z,
         )
 
     def hamiltonian(self) -> np.ndarray:
@@ -217,36 +213,11 @@ class GateReport:
     sector_leakage: float | None = None
 
 
-def _lambda_eigensystem(g: GateParams1Q):
-    # Dark/bright eigenvectors of the effective lambda Hamiltonian in the
-    # ordered basis {|0_L>, |1_L>, |a>}.
-    c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
-    dark = np.array([c, -s, 0.0], dtype=complex)
-    bright = np.array([s, c, 0.0], dtype=complex)
-    anc = np.array([0.0, 0.0, 1.0], dtype=complex)
-    cp, sp = math.cos(g.phi / 2), math.sin(g.phi / 2)
-    b1 = cp * anc + sp * bright
-    b2 = sp * anc - cp * bright
-    e1 = g.omega * (math.cos(g.phi) + 1.0)
-    e2 = g.omega * (math.cos(g.phi) - 1.0)
-    return dark, (b1, e1), (b2, e2)
-
-
-def analytic_u_tau(g: GateParams1Q, t: float) -> np.ndarray:
-    """Closed-form lambda-system evolution operator at time ``t``.
-
-    Built from the analytic eigensystem (dark state at energy zero, bright
-    doublet at omega*(cos phi +- 1)) rather than from a matrix exponential,
-    so it can serve as an independent cross-check of the numerical route.
-    Basis order is {|0_L>, |1_L>, |a>}.
-    """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    dark, (b1, e1), (b2, e2) = _lambda_eigensystem(g)
-    u = np.outer(dark, dark.conj())
-    u = u + np.exp(-1j * e1 * t) * np.outer(b1, b1.conj())
-    u = u + np.exp(-1j * e2 * t) * np.outer(b2, b2.conj())
-    return u
+# Preset single-qubit targets: (theta, gamma).
+GATE_PRESETS = {
+    "hadamard": (3 * math.pi / 4, math.pi),
+    "pi8": (0.0, math.pi / 4),
+}
 
 
 def analytic_gate_1q(theta: float, gamma: float) -> np.ndarray:
@@ -311,6 +282,26 @@ def params_for_rotation(
         )
     phi = math.acos(gamma / (m * math.pi) - 1.0)
     return GateParams1Q(theta=theta, phi=phi, m=m, omega=omega)
+
+
+def loop_target(theta: float | None = None, gamma: float | None = None, *,
+                gate: str | None = None, theta_tilde: float | None = None,
+                m: int = 1, omega: float = 1.0):
+    """Loop parameters and ideal gate ``(params, ideal)`` of one target.
+
+    ``theta_tilde`` selects the two-qubit loop.  Otherwise ``gate`` names a
+    preset of ``GATE_PRESETS``, and any other ``gate`` (``None``, or a sweep's
+    ``custom``) takes the rotation by ``gamma`` about the axis ``theta``.
+    ``m`` and ``omega`` are the winding and energy scale of either loop.
+    """
+    if theta_tilde is not None:
+        params = GateParams2Q(theta_tilde=theta_tilde, m_tilde=m, omega_tilde=omega)
+        return params, analytic_gate_2q(params.theta_tilde)
+    theta, gamma = GATE_PRESETS.get(gate, (theta, gamma))
+    # The ideal comes from the requested angles: params.gamma went through
+    # acos and can differ from gamma in its last bits.
+    return (params_for_rotation(theta, gamma, m=m, omega=omega),
+            analytic_gate_1q(theta, gamma))
 
 
 def _max_logical_block(h: np.ndarray, values: np.ndarray, vectors: np.ndarray,

@@ -37,9 +37,14 @@ def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Largest entrywise deviation of ``u.conj().T @ u`` from the identity."""
+    """Largest entrywise deviation of ``u.conj().T @ u`` from the identity.
+
+    A Gram product that overflows gives ``nan`` without a warning; the
+    guards refuse it.
+    """
     u = np.asarray(u, dtype=complex)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,26 +17,19 @@ import numpy as np
 
 from . import linalg
 from .holonomy import (
-    _EPS,
-    PHASE_ROUNDOFF_LIMIT,
+    GATE_PRESETS,
     GateParams1Q,
     GateParams2Q,
     GateReport,
     analytic_gate_1q,
     analytic_gate_2q,
     evolve_and_project,
-    params_for_rotation,
+    loop_target,
     require_phase_precision,
 )
 from .spin_model import SubspaceFrame, restrict
 # Bound only for bench/tests/test_bench.py, which checks that tracing patches them here.
 from .spin_model import build_h1, build_h2  # noqa: F401
-
-# Preset single-qubit targets: (theta, gamma).
-GATE_PRESETS = {
-    "hadamard": (3 * math.pi / 4, math.pi),
-    "pi8": (0.0, math.pi / 4),
-}
 
 # Largest sweep grid (steps_per_axis squared) that SweepSpec accepts; the
 # CSV rendering of a grid this size is already about 15 MB.
@@ -76,7 +69,7 @@ class SweepSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.gate_target not in ("hadamard", "pi8", "custom", "two_qubit"):
+        if self.gate_target not in (*GATE_PRESETS, "custom", "two_qubit"):
             raise ValueError(f"unknown gate target {self.gate_target!r}")
         if self.gate_target == "custom" and (self.theta is None or self.gamma is None):
             raise ValueError("custom gate target requires theta and gamma")
@@ -129,6 +122,13 @@ class SweepTable:
     leakage: np.ndarray
 
 
+def _require_contraction(top: float) -> None:
+    # Refuse a projected block whose operator norm ``top`` exceeds 1 by
+    # more than roundoff.
+    if not top <= 1.0 + _NORM_SLACK:
+        raise ValueError(f"projected block has operator norm {top:.6f} > 1")
+
+
 def gate_fidelity(ideal: np.ndarray, actual_projected: np.ndarray) -> float | np.ndarray:
     """Average state fidelity of a (possibly leaky) projected evolution.
 
@@ -146,9 +146,7 @@ def gate_fidelity(ideal: np.ndarray, actual_projected: np.ndarray) -> float | np
         raise ValueError(f"dimension mismatch: {ideal.shape} vs {actual.shape}")
     if not np.isfinite(actual).all():
         raise ValueError("projected block has non-finite (NaN or infinite) entries")
-    top = np.max(np.linalg.norm(actual, ord=2, axis=(-2, -1)))
-    if not top <= 1.0 + _NORM_SLACK:
-        raise ValueError(f"projected block has operator norm {top:.6f} > 1")
+    _require_contraction(np.max(np.linalg.norm(actual, ord=2, axis=(-2, -1))))
     k = ideal.shape[0]
     overlap = np.abs(np.einsum("ab,...ab->...", ideal.conj(), actual)) ** 2
     trace_term = np.einsum("...ab,...ab->...", actual.conj(), actual).real
@@ -203,18 +201,6 @@ def perturbed_gate_2q(
     """Two-qubit holonomic loop with DM noise on both bridge bonds."""
     ideal = analytic_gate_2q(g.theta_tilde)
     return _perturbed_gate(g, ideal, d32_ratio, d42_ratio, samples)
-
-
-def _sweep_target(spec: SweepSpec):
-    # Loop parameters and ideal gate of the sweep's target.  The single-qubit
-    # ideal comes from the requested angles, not from the synthesized phi.
-    if spec.gate_target == "two_qubit":
-        g = GateParams2Q(theta_tilde=spec.theta_tilde, m_tilde=spec.m,
-                         omega_tilde=spec.omega)
-        return g, analytic_gate_2q(g.theta_tilde)
-    theta, gamma = GATE_PRESETS.get(spec.gate_target, (spec.theta, spec.gamma))
-    g = params_for_rotation(theta, gamma, m=spec.m, omega=spec.omega)
-    return g, analytic_gate_1q(theta, gamma)
 
 
 def sweep_axes(spec: SweepSpec) -> np.ndarray:
@@ -294,13 +280,16 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     residual-weighted sum of the three terms.
 
     Raises ``ValueError`` when the sector terms are not such lambda systems,
-    and naming the first offending row when the loop phases ``|E|*tau`` are
-    so large that their float64 roundoff exceeds
-    ``holonomy.PHASE_ROUNDOFF_LIMIT``.  Rows are indexed by the first axis
-    and the output is deterministic.
+    and when the loop phases ``|E|*tau`` are so large that their float64
+    roundoff exceeds ``holonomy.PHASE_ROUNDOFF_LIMIT`` (see
+    :func:`holonomy.require_phase_precision`); the message names the row
+    with the largest loop phase among the rows of the first chunk that
+    fails.  Rows are indexed by the first axis and the output is
+    deterministic.
     """
     axis = sweep_axes(spec)
-    g, ideal = _sweep_target(spec)
+    g, ideal = loop_target(spec.theta, spec.gamma, gate=spec.gate_target,
+                           theta_tilde=spec.theta_tilde, m=spec.m, omega=spec.omega)
     sector, logical = g.frames()
     terms, (r0, r1, r2) = zip(*(restrict(term, sector) for term in g.terms()))
     blocks = _lambda_blocks(terms, sector, logical)
@@ -320,19 +309,17 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         c, delta = _lambda_points(blocks, d1, d2)
         size = np.hypot.reduce(np.abs(c), axis=-1)
         alpha = np.hypot(size, delta / 2)
+        # Largest |E| per row; the guard sees the chunk's largest (or first
+        # NaN) and names its row.
         top = np.max(np.abs(delta) / 2 + alpha, axis=(1, 2))
-        # The test of require_phase_precision, row by row: name the first.
-        bad = np.flatnonzero(~(top * tau * _EPS <= PHASE_ROUNDOFF_LIMIT))
-        if bad.size:
-            i = bad[0]
-            require_phase_precision(top[i], tau, where=f" at ratio1 = {axis[start + i]:.6g}",
-                                    remedy="raise ratio_min or lower m")
+        i = int(np.argmax(top))
+        require_phase_precision(top[i], tau, where=f" at ratio1 = {axis[start + i]:.6g}",
+                                remedy="raise ratio_min or lower m")
         phase = alpha * tau
         a = np.exp(-0.5j * tau * delta) * (
             np.cos(phase) + 1j * (delta / 2 / alpha) * np.sin(phase))
         norm = np.abs(a)
-        if not np.max(norm) <= 1.0 + _NORM_SLACK:
-            raise ValueError(f"projected block has operator norm {np.max(norm):.6f} > 1")
+        _require_contraction(np.max(norm))
         # c underflows to 0 where a loop with no exchange coupling meets DM
         # strengths below the float range; the block is then the identity.
         unit = np.divide(c, size[..., None], out=np.zeros_like(c), where=size[..., None] > 0)

@@ -122,13 +122,6 @@ def pauli_on(n: int, j: int, axis: str) -> np.ndarray:
     return reduce(np.kron, ops)
 
 
-def total_sz(n: int) -> np.ndarray:
-    """Sum of sigma_z over all sites; diagonal entries n - 2*weight."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    return sum(pauli_on(n, j, "z") for j in range(n))
-
-
 def _unit_bond(n: int, i: int, j: int, dm: bool) -> np.ndarray:
     # XY exchange (XiXj + YiYj)/2 hops one excitation between sites i and j;
     # the antisymmetric z-axis DM exchange (XiYj - YiXj)/2 conserves

@@ -1,6 +1,9 @@
 """The golden-output recorder: its input matrices, its invocation list and its comparison."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,18 @@ def test_input_matrices_are_what_their_names_say():
         assert np.isnan(unitarity_defect(matrices["overflow.json"]))
     assert np.isfinite(matrices["overflow.json"]).all()
     assert unitarity_defect(matrices["scaled.json"]) == 3.0
+
+
+def test_overflow_refusal_is_one_stderr_line(tmp_path):
+    # The refusal's stderr holds only the message: no numpy warning, whose
+    # text would name the path holodfs is installed at.
+    golden_cli._write_matrices(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-m", "holodfs.cli", "classify", "overflow.json"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr == "holodfs classify: matrix is not unitary: defect nan exceeds 1e-08\n"
+    assert run.stdout == ""
 
 
 def test_invocations_have_distinct_names_and_their_inputs_are_written(tmp_path):

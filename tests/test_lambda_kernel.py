@@ -12,10 +12,17 @@ import numpy as np
 import pytest
 
 from holodfs import cli, noise, spin_model
-from holodfs.holonomy import GateParams2Q, params_for_rotation
+from holodfs.holonomy import GateParams2Q, loop_target, params_for_rotation
 from holodfs.spin_model import pauli_on
 
 EPS = float(np.finfo(float).eps)
+
+
+def _spec_target(spec):
+    # Loop parameters and ideal gate of a sweep specification's target.
+    return loop_target(spec.theta, spec.gamma, gate=spec.gate_target,
+                       theta_tilde=spec.theta_tilde, m=spec.m, omega=spec.omega)
+
 
 # Logical rows and excited level of each lambda block, by label.
 _BLOCKS = {
@@ -116,7 +123,7 @@ def test_vanishing_coupling_leaves_the_logical_block_alone():
 def _reference_fidelity(spec, i, j):
     # Average gate fidelity of the sector Hamiltonian at grid point (i, j),
     # from a 40-digit matrix exponential of the double-precision inputs.
-    g, ideal = noise._sweep_target(spec)
+    g, ideal = _spec_target(spec)
     sector, logical, terms = _sector_terms(g)
     strengths = spec.omega / noise.sweep_axes(spec)
     d1, d2 = (mpmath.mpf(float(x)) for x in (strengths[i], strengths[j]))
@@ -138,7 +145,7 @@ def _reference_fidelity(spec, i, j):
 
 def _largest_phase(spec, i, j):
     # max |E| * tau of the sector Hamiltonian at grid point (i, j).
-    g, _ = noise._sweep_target(spec)
+    g, _ = _spec_target(spec)
     _, _, (e0, e1, e2) = _sector_terms(g)
     strengths = spec.omega / noise.sweep_axes(spec)
     values = np.linalg.eigvalsh(e0 + strengths[i] * e1 + strengths[j] * e2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ class TestExpmHermitian:
         rng = np.random.default_rng(9)
         h = random_hermitian(rng, 8)
         assert linalg.unitarity_defect(linalg.expm_hermitian(h, 2.5)) < 1e-10
+
+
+class TestUnitarityDefect:
+    def test_overflowing_gram_product_is_nan_without_a_warning(self):
+        # Finite entries whose Gram product overflows: NaN, which every
+        # guard refuses, and no RuntimeWarning naming this module's path.
+        u = np.eye(4, dtype=complex)
+        u[3, 3] = 1e308 + 1e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(linalg.unitarity_defect(u))
 
 
 class TestPhaseInvariantDistance:

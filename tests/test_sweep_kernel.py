@@ -20,6 +20,7 @@ from holodfs import linalg, noise, spin_model
 from holodfs.holonomy import (
     GateParams2Q,
     analytic_gate_1q,
+    loop_target,
     params_for_rotation,
     require_phase_precision,
 )
@@ -30,6 +31,12 @@ LEAKAGE_TOL = 1e-12
 ROW_BY_ROW_TOL = 1e-13
 
 ratios = st.floats(min_value=0.5, max_value=300.0)
+
+
+def _spec_target(spec):
+    # Loop parameters and ideal gate of a sweep specification's target.
+    return loop_target(spec.theta, spec.gamma, gate=spec.gate_target,
+                       theta_tilde=spec.theta_tilde, m=spec.m, omega=spec.omega)
 
 
 def _two_point_spec(r1, r2, **target):
@@ -129,7 +136,7 @@ def _row_by_row(spec):
     # The sector route run_sweep replaced: one stacked eigh per grid row,
     # projection onto the logical rows and gate_fidelity, kept as reference.
     axis = noise.sweep_axes(spec)
-    g, ideal = noise._sweep_target(spec)
+    g, ideal = _spec_target(spec)
     sector, logical_frame = g.frames()
     (e0, e1, e2), (r0, r1, r2) = zip(*(spin_model.restrict(t, sector) for t in g.terms()))
     logical = [sector.labels.index(label) for label in logical_frame.labels]
@@ -250,6 +257,29 @@ def test_phase_roundoff_names_the_first_offending_row_in_a_later_chunk(monkeypat
     message = str(refused.value)
     assert message.startswith("loop phase |E|*tau = ")
     assert f" at ratio1 = {axis[bad_row]:.6g} leaves float64 roundoff" in message
+
+
+def test_phase_roundoff_names_the_row_with_the_largest_phase(monkeypatch):
+    # Two offending rows in one chunk (45 steps give chunks of 22 rows), the
+    # later one with the larger detuning: the refusal names the later row.
+    spec = noise.SweepSpec(gate_target="pi8", steps_per_axis=45)
+    axis = noise.sweep_axes(spec)
+    detunings = {25: 1e300, 30: 1e301}
+    strengths = {spec.omega / axis[row]: value for row, value in detunings.items()}
+    points = noise._lambda_points
+
+    def detuned(blocks, d1, d2):
+        c, delta = points(blocks, d1, d2)
+        for strength, value in strengths.items():
+            delta = np.where(d1 == strength, value, delta)
+        return c, delta
+
+    monkeypatch.setattr(noise, "_lambda_points", detuned)
+    with pytest.raises(ValueError) as refused:
+        noise.run_sweep(spec)
+    message = str(refused.value)
+    assert f" at ratio1 = {axis[30]:.6g} leaves float64 roundoff" in message
+    assert f"ratio1 = {axis[25]:.6g}" not in message
 
 
 def test_two_hundred_step_two_qubit_sweep_stays_small():
