@@ -25,13 +25,14 @@ import numpy as np
 
 from .entanglement import (
     CNOT_TOL,
+    MC_SAMPLES,
     classify_gate,
     entangling_power_analytic,
     require_mc_samples,
     require_mc_seed,
 )
 from .linalg import unitarity_defect
-from .holonomy import GATE_PRESETS, evolve_and_project, loop_target
+from .holonomy import GATE_PRESETS, TIME_SAMPLES, evolve_and_project, loop_target
 from .noise import SweepSpec, run_sweep
 from .spin_model import restrict
 # Bound only for bench/tests/test_bench.py, which checks that tracing patches them here.
@@ -340,18 +341,9 @@ def _sweep_csv(table) -> str:
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        gate_target=args.gate.replace("-", "_"),
-        ratio_min=args.min,
-        ratio_max=args.max,
-        steps_per_axis=args.steps,
-        log_scale=not args.linear,
-        theta=args.theta,
-        gamma=args.gamma,
-        theta_tilde=args.theta_tilde,
-        m=args.m,
-        omega=args.omega,
-    )
+    spec = SweepSpec(gate_target=args.gate.replace("-", "_"), log_scale=not args.linear,
+                     **_given(args, "theta", "gamma", "theta_tilde", "m", "omega",
+                              "ratio_min", "ratio_max", "steps_per_axis"))
     _emit(_sweep_csv(run_sweep(spec)), args.out)
     return EXIT_OK
 
@@ -382,7 +374,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", type=float, help="energy scale")
 
     def add_common(p):
-        p.add_argument("--samples", type=int, default=101,
+        p.add_argument("--samples", type=int, default=TIME_SAMPLES,
                        help="time samples for the dynamics checks")
         p.add_argument("--out", help="output file (default: stdout)")
 
@@ -396,7 +388,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="coupling-ratio angle in (0, pi/2)")
     s2.add_argument("--m-tilde", type=int, help="odd winding integer")
     s2.add_argument("--omega-tilde", type=float, help="energy scale")
-    s2.add_argument("--mc-samples", type=int, default=100_000,
+    s2.add_argument("--mc-samples", type=int, default=MC_SAMPLES,
                     help="Monte-Carlo samples for the entangling power")
     s2.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     add_common(s2)
@@ -414,7 +406,7 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="classify a two-qubit unitary from file")
     c.add_argument("matrix_file",
                    help="JSON file: 4x4 array of [re, im] pairs, row-major")
-    c.add_argument("--samples", type=int, default=100_000,
+    c.add_argument("--samples", type=int, default=MC_SAMPLES,
                    help="Monte-Carlo samples for the entangling power")
     c.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     c.add_argument("--cnot-tol", type=float, default=CNOT_TOL,
@@ -424,16 +416,20 @@ def _parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="DM-noise robustness sweep to CSV")
     w.add_argument("--gate", required=True,
-                   choices=["hadamard", "pi8", "custom", "two-qubit"])
+                   choices=[*sorted(GATE_PRESETS), "custom", "two-qubit"])
     w.add_argument("--theta", type=float, help="axis angle for --gate custom")
     w.add_argument("--gamma", type=float, help="rotation angle for --gate custom")
     w.add_argument("--theta-tilde", type=float,
                    help="coupling-ratio angle for --gate two-qubit")
-    w.add_argument("--m", type=int, default=1, help="winding integer")
-    w.add_argument("--omega", type=float, default=1.0, help="energy scale")
-    w.add_argument("--min", type=float, default=1.0, help="smallest omega/D ratio")
-    w.add_argument("--max", type=float, default=100.0, help="largest omega/D ratio")
-    w.add_argument("--steps", type=int, default=50, help="grid points per axis")
+    # The dests are SweepSpec's field names; a flag left unset takes its default.
+    w.add_argument("--m", type=int, help="winding integer")
+    w.add_argument("--omega", type=float, help="energy scale")
+    w.add_argument("--min", type=float, dest="ratio_min", metavar="MIN",
+                   help="smallest omega/D ratio")
+    w.add_argument("--max", type=float, dest="ratio_max", metavar="MAX",
+                   help="largest omega/D ratio")
+    w.add_argument("--steps", type=int, dest="steps_per_axis", metavar="STEPS",
+                   help="grid points per axis")
     scale = w.add_mutually_exclusive_group()
     scale.add_argument("--log", action="store_true",
                        help="logarithmic ratio spacing (the default)")

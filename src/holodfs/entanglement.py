@@ -56,6 +56,8 @@ CNOT_TOL = 1e-6
 # place in that vector and the draws live only per block, so the estimator
 # needs no second samples-sized array.
 MAX_MC_SAMPLES = 10_000_000
+# Monte-Carlo samples of an entangling-power estimate unless a caller sets them.
+MC_SAMPLES = 100_000
 # Samples per block of the Monte-Carlo kernel, each with its own random
 # stream: a block's uniform draws are 0.34 MB, its 16,384 disk points
 # 0.25 MB and each per-sample complex temporary 128 kB, so a block's working
@@ -175,7 +177,9 @@ def entangling_power_analytic(theta_tilde: float) -> float:
 
 
 def require_mc_samples(samples: int) -> None:
-    """Refuse a Monte-Carlo sample count outside [1000, ``MAX_MC_SAMPLES``]."""
+    """Refuse a Monte-Carlo sample count that is not an integer in [1000, MAX_MC_SAMPLES]."""
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"Monte-Carlo samples must be an integer, got {samples}")
     if not 1000 <= samples <= MAX_MC_SAMPLES:
         raise ValueError(
             f"Monte-Carlo samples={samples} is outside [1000, "
@@ -346,7 +350,7 @@ def is_cnot_class(u: np.ndarray, tol: float = CNOT_TOL) -> bool:
 
 def classify_gate(
     u: np.ndarray,
-    ep_samples: int = 100_000,
+    ep_samples: int = MC_SAMPLES,
     seed: int = 0,
     cnot_tol: float = CNOT_TOL,
     tol: float = UNITARITY_TOL,

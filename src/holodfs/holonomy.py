@@ -13,6 +13,7 @@ product of frame overlaps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,9 @@ from .spin_model import SIGMA_X, SIGMA_Z, CouplingParams1Q, CouplingParams2Q, Su
 PHASE_ROUNDOFF_LIMIT = 1e-9
 _EPS = float(np.finfo(float).eps)
 
-# Most time samples the dynamics check of evolve_and_project accepts.
+# Time samples of the dynamics check unless a caller sets them, and the most
+# that evolve_and_project accepts.
+TIME_SAMPLES = 101
 MAX_TIME_SAMPLES = 1_000_000
 # The check evaluates as many sampled times per stacked pass as keep its
 # gemm below this many multiply-adds, which holds the pass on one thread in
@@ -90,6 +93,9 @@ class GateParams1Q:
         _require_winding("m", self.m)
         if not 0.0 < self.omega < math.inf:
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        if not self.tau < math.inf:
+            raise ValueError(f"loop duration tau = m*pi/omega overflows at "
+                             f"m={float(self.m):g}, omega={self.omega:g}")
 
     @property
     def tau(self) -> float:
@@ -156,6 +162,11 @@ class GateParams2Q:
             raise ValueError(
                 f"omega_tilde must be finite and positive, got {self.omega_tilde}"
             )
+        if not self.tau < math.inf:
+            raise ValueError(
+                f"loop duration tau = m_tilde*pi/omega_tilde overflows at "
+                f"m_tilde={float(self.m_tilde):g}, omega_tilde={self.omega_tilde:g}"
+            )
 
     @property
     def omega(self) -> float:
@@ -218,6 +229,8 @@ GATE_PRESETS = {
     "hadamard": (3 * math.pi / 4, math.pi),
     "pi8": (0.0, math.pi / 4),
 }
+# The target that each loop parameter of loop_target belongs to.
+_PARAM_TARGETS = {"theta": "custom", "gamma": "custom", "theta_tilde": "two_qubit"}
 
 
 def analytic_gate_1q(theta: float, gamma: float) -> np.ndarray:
@@ -289,12 +302,24 @@ def loop_target(theta: float | None = None, gamma: float | None = None, *,
                 m: int = 1, omega: float = 1.0):
     """Loop parameters and ideal gate ``(params, ideal)`` of one target.
 
-    ``theta_tilde`` selects the two-qubit loop.  Otherwise ``gate`` names a
-    preset of ``GATE_PRESETS``, and any other ``gate`` (``None``, or a sweep's
-    ``custom``) takes the rotation by ``gamma`` about the axis ``theta``.
-    ``m`` and ``omega`` are the winding and energy scale of either loop.
+    ``gate`` is a preset of ``GATE_PRESETS``, ``custom`` (rotation by ``gamma``
+    about the axis ``theta``) or ``two_qubit`` (``theta_tilde``); ``None`` is
+    ``two_qubit`` if ``theta_tilde`` is given, else ``custom``.  ``m`` and
+    ``omega`` are the winding and energy scale.  An unknown target, a missing
+    parameter, one of another target and a refused loop raise ``ValueError``.
     """
-    if theta_tilde is not None:
+    given = {"theta": theta, "gamma": gamma, "theta_tilde": theta_tilde}
+    if gate is None:
+        gate = "custom" if theta_tilde is None else "two_qubit"
+    if gate not in (*GATE_PRESETS, *_PARAM_TARGETS.values()):
+        raise ValueError(f"unknown gate target {gate!r}")
+    takes = [name for name, target in _PARAM_TARGETS.items() if target == gate]
+    if any(given[name] is None for name in takes):
+        raise ValueError(f"{gate} gate target requires {' and '.join(takes)}")
+    for name, target in _PARAM_TARGETS.items():
+        if given[name] is not None and gate != target:
+            raise ValueError(f"{name} applies only to the {target} gate target, not {gate}")
+    if gate == "two_qubit":
         params = GateParams2Q(theta_tilde=theta_tilde, m_tilde=m, omega_tilde=omega)
         return params, analytic_gate_2q(params.theta_tilde)
     theta, gamma = GATE_PRESETS.get(gate, (theta, gamma))
@@ -331,7 +356,7 @@ def evolve_and_project(
     h: np.ndarray,
     logical: SubspaceFrame,
     tau: float,
-    samples: int = 101,
+    samples: int = TIME_SAMPLES,
     ideal: np.ndarray | None = None,
 ) -> GateReport:
     """Evolve under constant ``h`` for ``tau`` and project on a logical frame.
@@ -354,11 +379,13 @@ def evolve_and_project(
     a constant Hamiltonian every sampled block equals the static block
     ``F(0)^dag h F(0)`` up to roundoff.
 
-    Raises ``ValueError`` when ``samples`` is below 2 or above
-    ``MAX_TIME_SAMPLES`` (checked before anything is allocated), and when
-    the loop phases ``|E|*tau`` have lost float64 precision (see
+    Raises ``ValueError`` when ``samples`` is not an integer, below 2 or
+    above ``MAX_TIME_SAMPLES`` (checked before anything is allocated), and
+    when the loop phases ``|E|*tau`` have lost float64 precision (see
     :func:`require_phase_precision`).
     """
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"time samples must be an integer, got {samples}")
     if samples < 2:
         raise ValueError(f"need at least 2 time samples, got {samples}")
     if samples > MAX_TIME_SAMPLES:
@@ -411,6 +438,8 @@ def discretized_holonomy(
     against (the product is then exact to roundoff for any constant
     Hamiltonian).
     """
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps}")
     if steps < 100:
         raise ValueError(f"need at least 100 steps, got {steps}")
     h = np.asarray(h, dtype=complex)

@@ -11,13 +11,15 @@ experiment calibrated to the ideal loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
 from .holonomy import (
-    GATE_PRESETS,
+    GATE_PRESETS,  # noqa: F401  (read here by tests/test_acceptance.py and demo 04)
+    TIME_SAMPLES,
     GateParams1Q,
     GateParams2Q,
     GateReport,
@@ -47,10 +49,10 @@ SWEEP_CHUNK_POINTS = 1024
 class SweepSpec:
     """Grid specification for a two-axis DM robustness sweep.
 
-    Axis values are the dimensionless ratios omega / D_z per bond.  The
-    gate target is one of ``hadamard``, ``pi8``, ``custom`` (requires
-    ``theta`` and ``gamma``) or ``two_qubit`` (requires ``theta_tilde``);
-    a parameter of another target is refused rather than ignored.
+    Axis values are the dimensionless ratios omega / D_z per bond.  The gate
+    target and its parameters are those of :func:`holonomy.loop_target`,
+    which the spec calls once, when it is built, to set ``loop``: the loop
+    parameters and ideal gate that :func:`run_sweep` runs.
     """
 
     gate_target: str
@@ -63,30 +65,22 @@ class SweepSpec:
     theta_tilde: float | None = None
     m: int = 1
     omega: float = 1.0
+    loop: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("ratio_min", "ratio_max", "omega", "theta", "gamma", "theta_tilde"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.gate_target not in (*GATE_PRESETS, "custom", "two_qubit"):
-            raise ValueError(f"unknown gate target {self.gate_target!r}")
-        if self.gate_target == "custom" and (self.theta is None or self.gamma is None):
-            raise ValueError("custom gate target requires theta and gamma")
-        if self.gate_target == "two_qubit" and self.theta_tilde is None:
-            raise ValueError("two_qubit gate target requires theta_tilde")
-        for name, target in (("theta", "custom"), ("gamma", "custom"),
-                             ("theta_tilde", "two_qubit")):
-            if getattr(self, name) is not None and self.gate_target != target:
-                raise ValueError(
-                    f"{name} applies only to the {target} gate target, "
-                    f"not {self.gate_target}"
-                )
         if self.ratio_min <= 0.0:
             raise ValueError(f"ratio_min must be positive, got {self.ratio_min}")
         if self.ratio_min > self.ratio_max:
             raise ValueError(
                 f"ratio_min {self.ratio_min} exceeds ratio_max {self.ratio_max}"
+            )
+        if not isinstance(self.steps_per_axis, numbers.Integral):
+            raise ValueError(
+                f"steps_per_axis must be an integer, got {self.steps_per_axis}"
             )
         if self.steps_per_axis < 2:
             raise ValueError(
@@ -102,6 +96,9 @@ class SweepSpec:
             raise ValueError(
                 f"DM strength omega/ratio_min = {self.omega}/{self.ratio_min} overflows"
             )
+        object.__setattr__(self, "loop", loop_target(
+            self.theta, self.gamma, gate=self.gate_target, theta_tilde=self.theta_tilde,
+            m=self.m, omega=self.omega))
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,7 @@ def _perturbed_gate(g: GateParams1Q | GateParams2Q, ideal: np.ndarray,
 
 
 def perturbed_gate_1q(
-    g: GateParams1Q, d1_ratio: float, d2_ratio: float, samples: int = 101
+    g: GateParams1Q, d1_ratio: float, d2_ratio: float, samples: int = TIME_SAMPLES
 ) -> GateReport:
     """Single-qubit holonomic loop with DM noise on both bonds.
 
@@ -196,7 +193,7 @@ def perturbed_gate_1q(
 
 
 def perturbed_gate_2q(
-    g: GateParams2Q, d32_ratio: float, d42_ratio: float, samples: int = 101
+    g: GateParams2Q, d32_ratio: float, d42_ratio: float, samples: int = TIME_SAMPLES
 ) -> GateReport:
     """Two-qubit holonomic loop with DM noise on both bridge bonds."""
     ideal = analytic_gate_2q(g.theta_tilde)
@@ -288,8 +285,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     deterministic.
     """
     axis = sweep_axes(spec)
-    g, ideal = loop_target(spec.theta, spec.gamma, gate=spec.gate_target,
-                           theta_tilde=spec.theta_tilde, m=spec.m, omega=spec.omega)
+    g, ideal = spec.loop
     sector, logical = g.frames()
     terms, (r0, r1, r2) = zip(*(restrict(term, sector) for term in g.terms()))
     blocks = _lambda_blocks(terms, sector, logical)

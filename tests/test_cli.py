@@ -642,6 +642,17 @@ class TestSweepBoundary:
         assert "|E|*tau" in captured.err and "lower the winding" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, name", [
+        (["synth-1q", "--gate", "hadamard", "--omega", "1e-320"], "omega"),
+        (["verify", "--theta-tilde", "0.6", "--omega-tilde", "1e-310"], "omega_tilde"),
+        (["sweep", "--gate", "hadamard", "--omega", "1e-320"], "omega"),
+    ])
+    def test_overflowing_loop_duration_exits_2_naming_the_scale(self, argv, name, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "loop duration tau" in captured.err and f" {name}=" in captured.err
+        assert captured.out == ""
+
     def test_oversized_time_sample_count_exits_2_without_allocating(self, capsys):
         tracemalloc.start()
         try:

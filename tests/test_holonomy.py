@@ -64,6 +64,14 @@ class TestGateParams:
         with pytest.raises(ValueError, match="theta_tilde"):
             ho.GateParams2Q(theta_tilde=2.0)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ho.GateParams1Q(theta=1.0, phi=1.0, omega=1e-310), "omega"),
+        (lambda: ho.GateParams2Q(theta_tilde=0.6, omega_tilde=1e-310), "omega_tilde"),
+    ])
+    def test_overflowing_loop_duration_names_the_scale(self, build, name):
+        with pytest.raises(ValueError, match=f"^loop duration tau = .* {name}=1e-310$"):
+            build()
+
 
 class TestSharedLoopMembers:
     LOOPS = [ho.GateParams1Q(theta=1.1, phi=0.6, m=2, omega=1.3),

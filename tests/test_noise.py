@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holodfs import noise
-from holodfs.holonomy import GateParams2Q, params_for_rotation
+from holodfs import entanglement, holonomy, noise
+from holodfs.holonomy import GateParams2Q, analytic_gate_1q, loop_target, params_for_rotation
 
 HADAMARD_PARAMS = params_for_rotation(*noise.GATE_PRESETS["hadamard"])
 PI8_PARAMS = params_for_rotation(*noise.GATE_PRESETS["pi8"])
@@ -138,6 +140,85 @@ class TestSweepSpec:
     def test_rejects_parameters_of_another_target(self, target, extra, name):
         with pytest.raises(ValueError, match=f"^{name} applies only to"):
             noise.SweepSpec(gate_target=target, **extra)
+
+
+    @pytest.mark.parametrize("target, extra, message", [
+        ("hadamard", {"m": 0}, "winding m must be a positive integer"),
+        ("pi8", {"omega": -1.0}, "omega must be finite and positive"),
+    ])
+    def test_refuses_a_bad_loop_when_built(self, target, extra, message):
+        with pytest.raises(ValueError, match=message):
+            noise.SweepSpec(gate_target=target, **extra)
+
+
+# Loop parameters that loop_target and SweepSpec take, with the target each
+# one belongs to.
+_PARAM_TARGETS = {"theta": "custom", "gamma": "custom", "theta_tilde": "two_qubit"}
+
+
+class TestLoopTargetGrammar:
+    @settings(deadline=None, max_examples=300)
+    @given(gate=st.sampled_from([None, "hadamard", "pi8", "custom", "two_qubit", "cz", ""]),
+           names=st.sets(st.sampled_from(sorted(_PARAM_TARGETS))),
+           theta=st.floats(0.0, math.pi), fraction=st.floats(0.0, 1.0),
+           theta_tilde=st.floats(0.01, 1.5))
+    def test_one_grammar_for_loop_target_and_sweep_spec(self, gate, names, theta, fraction,
+                                                        theta_tilde):
+        values = {"theta": theta, "gamma": 2 * math.pi * fraction, "theta_tilde": theta_tilde}
+        params = {name: values[name] for name in names}
+        if gate is None:
+            resolved = "two_qubit" if "theta_tilde" in names else "custom"
+        else:
+            resolved = gate
+        takes = {name for name, target in _PARAM_TARGETS.items() if target == resolved}
+        valid = resolved in (*noise.GATE_PRESETS, "custom", "two_qubit") and names == takes
+        try:
+            g, ideal = loop_target(gate=gate, **params)
+        except ValueError as exc:
+            assert not valid
+            with pytest.raises(ValueError) as refused:
+                noise.SweepSpec(gate_target=gate, steps_per_axis=2, **params)
+            assert str(refused.value) == str(exc)
+            return
+        assert valid
+        # Every given angle went into the loop: no preset replaced it.
+        if resolved == "two_qubit":
+            assert g.theta_tilde == theta_tilde
+        elif resolved == "custom":
+            assert g.theta == theta
+            assert np.array_equal(ideal, analytic_gate_1q(theta, values["gamma"]))
+        spec = noise.SweepSpec(gate_target=gate, steps_per_axis=2, **params)
+        assert spec.loop[0] == g and np.array_equal(spec.loop[1], ideal)
+
+    def test_run_sweep_resolves_no_loop(self, monkeypatch):
+        spec = noise.SweepSpec(gate_target="two_qubit", theta_tilde=0.6, steps_per_axis=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_sweep resolved the loop again")
+
+        monkeypatch.setattr(holonomy, "loop_target", refuse)
+        monkeypatch.setattr(noise, "loop_target", refuse)
+        assert noise.run_sweep(spec).fidelity.shape == (3, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: holonomy.evolve_and_project(
+        HADAMARD_PARAMS.hamiltonian(), HADAMARD_PARAMS.frames()[1], HADAMARD_PARAMS.tau,
+        samples=2.5), "time samples must be an integer, got 2.5"),
+    (lambda: noise.perturbed_gate_1q(HADAMARD_PARAMS, 10.0, 10.0, samples=2.5),
+     "time samples must be an integer, got 2.5"),
+    (lambda: holonomy.discretized_holonomy(
+        HADAMARD_PARAMS.hamiltonian(), HADAMARD_PARAMS.frames()[1], HADAMARD_PARAMS.tau,
+        steps=100.5), "steps must be an integer, got 100.5"),
+    (lambda: entanglement.entangling_power_mc(np.eye(4), 1000.5, 0),
+     "Monte-Carlo samples must be an integer, got 1000.5"),
+    (lambda: noise.SweepSpec(gate_target="hadamard", steps_per_axis=2.5),
+     "steps_per_axis must be an integer, got 2.5"),
+], ids=["evolve_and_project", "perturbed_gate_1q", "discretized_holonomy",
+        "entangling_power_mc", "SweepSpec"])
+def test_non_integer_count_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestRunSweep:

@@ -20,7 +20,6 @@ from holodfs import linalg, noise, spin_model
 from holodfs.holonomy import (
     GateParams2Q,
     analytic_gate_1q,
-    loop_target,
     params_for_rotation,
     require_phase_precision,
 )
@@ -31,12 +30,6 @@ LEAKAGE_TOL = 1e-12
 ROW_BY_ROW_TOL = 1e-13
 
 ratios = st.floats(min_value=0.5, max_value=300.0)
-
-
-def _spec_target(spec):
-    # Loop parameters and ideal gate of a sweep specification's target.
-    return loop_target(spec.theta, spec.gamma, gate=spec.gate_target,
-                       theta_tilde=spec.theta_tilde, m=spec.m, omega=spec.omega)
 
 
 def _two_point_spec(r1, r2, **target):
@@ -136,7 +129,7 @@ def _row_by_row(spec):
     # The sector route run_sweep replaced: one stacked eigh per grid row,
     # projection onto the logical rows and gate_fidelity, kept as reference.
     axis = noise.sweep_axes(spec)
-    g, ideal = _spec_target(spec)
+    g, ideal = spec.loop
     sector, logical_frame = g.frames()
     (e0, e1, e2), (r0, r1, r2) = zip(*(spin_model.restrict(t, sector) for t in g.terms()))
     logical = [sector.labels.index(label) for label in logical_frame.labels]
