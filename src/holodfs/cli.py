@@ -70,16 +70,12 @@ def _encode(value):
     Complex numbers become ``[re, im]`` pairs; negative zeros are
     normalized away so equivalent payloads serialize identically.
     """
-    if isinstance(value, (complex, np.complexfloating)):
+    if isinstance(value, complex):
         return [float(value.real) + 0.0, float(value.imag) + 0.0]
     if isinstance(value, float):
         return value + 0.0
     if isinstance(value, np.ndarray):
         return _encode(value.tolist())
-    if isinstance(value, np.floating):
-        return float(value) + 0.0
-    if isinstance(value, np.integer):
-        return int(value)
     if isinstance(value, dict):
         return {key: _encode(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -87,18 +83,12 @@ def _encode(value):
     return value
 
 
-def _resolve_out_path(path: str) -> str:
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    path = _resolve_out_path(out)
+    # join keeps an absolute ``out`` as it is, and join("", out) is ``out``.
+    path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), out)
     try:
         with open(path, "w", newline="") as handle:
             handle.write(text)
@@ -146,46 +136,37 @@ def _given(args, *flags) -> dict:
             if getattr(args, flag, None) is not None}
 
 
-def _target_1q(args):
-    # The requested angles (theta, gamma), and the loop parameters and
-    # ideal gate they select.
-    if args.gate is not None:
-        if args.theta is not None or args.gamma is not None:
-            raise CommandError(
-                "--gate conflicts with --theta/--gamma", EXIT_VALIDATION
-            )
-        angles = GATE_PRESETS[args.gate]
-    elif args.theta is None or args.gamma is None:
-        raise CommandError(
-            "provide --gate or both --theta and --gamma", EXIT_VALIDATION
-        )
-    else:
-        angles = args.theta, args.gamma
-    return angles, loop_target(*angles, **_given(args, "m", "omega"))
-
-
 def _target(args):
-    """Loop parameters and ideal gate that the flags select (1q or 2q).
+    """The requested angles and the loop they select: ``(angles, (params, ideal))``.
 
-    ``--theta-tilde`` selects the two-qubit loop.  Flags of the other loop
-    are refused; windings and energy scales left unset take the defaults of
-    ``loop_target``.
+    ``--theta-tilde`` selects the two-qubit loop, whose ``angles`` are ``None``;
+    else ``--gate`` or both ``--theta`` and ``--gamma`` give ``(theta, gamma)``.  Flags
+    of the other loop are refused; unset windings and scales take loop_target's defaults.
     """
     if getattr(args, "theta_tilde", None) is not None:
         for flag in _given(args, "gate", "theta", "gamma", "m", "omega"):
             raise CommandError(f"--theta-tilde conflicts with --{flag}", EXIT_VALIDATION)
         scales = _given(args, "m_tilde", "omega_tilde")
-        return loop_target(theta_tilde=args.theta_tilde,
-                           **{flag.removesuffix("_tilde"): v for flag, v in scales.items()})
+        return None, loop_target(
+            theta_tilde=args.theta_tilde,
+            **{flag.removesuffix("_tilde"): v for flag, v in scales.items()})
     for flag in _given(args, "m_tilde", "omega_tilde"):
         raise CommandError(
             f"--{flag.replace('_', '-')} applies only with --theta-tilde", EXIT_VALIDATION
         )
-    return _target_1q(args)[1]
+    if args.gate is not None:
+        if args.theta is not None or args.gamma is not None:
+            raise CommandError("--gate conflicts with --theta/--gamma", EXIT_VALIDATION)
+        angles = GATE_PRESETS[args.gate]
+    elif args.theta is None or args.gamma is None:
+        raise CommandError("provide --gate or both --theta and --gamma", EXIT_VALIDATION)
+    else:
+        angles = args.theta, args.gamma
+    return angles, loop_target(*angles, **_given(args, "m", "omega"))
 
 
 def cmd_synth_1q(args) -> int:
-    (theta, gamma), (params, ideal) = _target_1q(args)
+    (theta, gamma), (params, ideal) = _target(args)
     effective, full = _runs(params, ideal, args.samples)
     couplings = params.couplings()
     payload = {
@@ -216,7 +197,7 @@ def cmd_synth_1q(args) -> int:
 def cmd_synth_2q(args) -> int:
     require_mc_samples(args.mc_samples)
     require_mc_seed(args.seed)
-    params, ideal = _target(args)
+    _, (params, ideal) = _target(args)
     effective, full = _runs(params, ideal, args.samples)
     couplings = params.couplings()
     report = classify_gate(full.holonomy, ep_samples=args.mc_samples, seed=args.seed,
@@ -252,8 +233,8 @@ def cmd_synth_2q(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mode = "1q" if args.theta_tilde is None else "2q"
-    effective, full = _runs(*_target(args), args.samples)
+    angles, loop = _target(args)
+    effective, full = _runs(*loop, args.samples)
 
     def criteria(report) -> dict:
         return {
@@ -268,7 +249,7 @@ def cmd_verify(args) -> int:
     )
     payload = {
         "command": "verify",
-        "mode": mode,
+        "mode": "2q" if angles is None else "1q",
         "criteria": blocks,
         "pass": all_pass,
         "tolerances": TOLERANCES,
@@ -446,14 +427,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"holodfs {args.command}: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except (CommandError, ValueError) as exc:
         # Precondition violations raised by the library surface as flag
         # validation failures.
         print(f"holodfs {args.command}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return getattr(exc, "code", EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

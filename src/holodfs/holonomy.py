@@ -57,7 +57,7 @@ def require_phase_precision(values: np.ndarray, tau: float, where: str = "",
 
 
 def _require_winding(name: str, value: int) -> None:
-    if value < 1 or int(value) != value:
+    if not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"winding {name} must be a positive integer, got {value}")
     try:
         float(value)
@@ -65,6 +65,17 @@ def _require_winding(name: str, value: int) -> None:
         raise ValueError(
             f"winding {name} with {len(str(value))} digits is too large for a float"
         ) from None
+
+
+def _require_scale(name: str, omega: float, winding: str, m: int) -> None:
+    # omega > 0 with tau = m*pi/omega and 2*omega finite: the 1q Hamiltonian holds 2b.
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {omega}")
+    if not m * math.pi / omega < math.inf:
+        raise ValueError(f"loop duration tau = {winding}*pi/{name} overflows at "
+                         f"{winding}={float(m):g}, {name}={omega:g}")
+    if not 2.0 * omega < math.inf:
+        raise ValueError(f"{name}={omega:g} overflows the loop Hamiltonian (2*{name})")
 
 
 @dataclass(frozen=True)
@@ -91,11 +102,7 @@ class GateParams1Q:
         if not 0.0 <= self.phi <= math.pi:
             raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
         _require_winding("m", self.m)
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
-        if not self.tau < math.inf:
-            raise ValueError(f"loop duration tau = m*pi/omega overflows at "
-                             f"m={float(self.m):g}, omega={self.omega:g}")
+        _require_scale("omega", self.omega, "m", self.m)
 
     @property
     def tau(self) -> float:
@@ -158,15 +165,7 @@ class GateParams2Q:
                 f"winding m_tilde must be odd (even windings give the identity), "
                 f"got {self.m_tilde}"
             )
-        if not 0.0 < self.omega_tilde < math.inf:
-            raise ValueError(
-                f"omega_tilde must be finite and positive, got {self.omega_tilde}"
-            )
-        if not self.tau < math.inf:
-            raise ValueError(
-                f"loop duration tau = m_tilde*pi/omega_tilde overflows at "
-                f"m_tilde={float(self.m_tilde):g}, omega_tilde={self.omega_tilde:g}"
-            )
+        _require_scale("omega_tilde", self.omega_tilde, "m_tilde", self.m_tilde)
 
     @property
     def omega(self) -> float:

@@ -92,7 +92,8 @@ class SweepSpec:
                 f"steps_per_axis={self.steps_per_axis} gives {points} grid points, "
                 f"more than MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}"
             )
-        if not math.isfinite(self.omega / self.ratio_min):
+        # A bound on the largest sector energy; the loop refuses a negative omega.
+        if not 4 * (self.omega + self.omega / self.ratio_min) < math.inf:
             raise ValueError(
                 f"DM strength omega/ratio_min = {self.omega}/{self.ratio_min} overflows"
             )

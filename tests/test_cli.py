@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -237,6 +238,58 @@ class TestVerify:
         assert run(["verify"] + explicit + ["--out", str(a)]) == 0
         assert run(["verify"] + implicit + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+_1Q_FLAGS = {"gate": ["--gate", "pi8"], "theta": ["--theta", "0.3"],
+             "gamma": ["--gamma", "1.0"], "m": ["--m", "3"], "omega": ["--omega", "2"]}
+_2Q_FLAGS = {"theta_tilde": ["--theta-tilde", "0.6"], "m_tilde": ["--m-tilde", "3"],
+             "omega_tilde": ["--omega-tilde", "2"]}
+
+
+def _selects_one_loop(given: set) -> bool:
+    # The target grammar, restated: --theta-tilde with no single-qubit flag,
+    # or --gate alone or --theta with --gamma, and no two-qubit flag.
+    if "theta_tilde" in given:
+        return not given & set(_1Q_FLAGS)
+    return not given & set(_2Q_FLAGS) and given & {"gate", "theta", "gamma"} in (
+        {"gate"}, {"theta", "gamma"})
+
+
+class TestTargetFlagGrammar:
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", {**_1Q_FLAGS, **_2Q_FLAGS}),
+        ("synth-1q", _1Q_FLAGS),
+    ])
+    def test_every_flag_subset(self, command, flags, tmp_path, capsys):
+        out = str(tmp_path / "report.json")
+        for size in range(len(flags) + 1):
+            for subset in itertools.combinations(flags, size):
+                argv = [command, *(word for name in subset for word in flags[name])]
+                code = run(argv + ["--out", out])
+                err = capsys.readouterr().err
+                if _selects_one_loop(set(subset)):
+                    assert (code, err) == (0, ""), argv
+                else:
+                    assert code == 2, argv
+                    assert err.startswith(f"holodfs {command}: ") and err.count("\n") == 1, argv
+
+
+def test_no_numpy_scalar_reaches_the_encoder(tmp_path, monkeypatch):
+    # _encode has branches for Python numbers and arrays only; a numpy
+    # scalar in a report would reach json.dumps unconverted.
+    matrix_path = tmp_path / "cnot.json"
+    write_matrix(matrix_path, CNOT)
+    seen = []
+    encode = cli._encode
+    monkeypatch.setattr(cli, "_encode", lambda value: seen.append(value) or encode(value))
+    for argv in (["synth-1q", "--theta", "0.8", "--gamma", "2.4", "--m", "2"],
+                 ["synth-2q", "--theta-tilde", "0.6", "--mc-samples", "1000"],
+                 ["verify", "--gate", "hadamard"],
+                 ["classify", str(matrix_path), "--samples", "1000"]):
+        before = len(seen)
+        assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        assert len(seen) > before
+    assert [type(v) for v in seen if isinstance(v, np.generic)] == []
 
 
 class TestClassify:
@@ -677,6 +730,25 @@ class TestSweepBoundary:
         assert peak < 1_000_000
 
 
+class TestScaleOverflow:
+    # Under filterwarnings = ["error"], a numpy overflow warning escapes main.
+    @pytest.mark.parametrize("argv, name", [
+        (["verify", "--theta", "0", "--gamma", "0.7853981634",
+          "--omega", "1.7976931348623157e308"], "omega=1.79769e+308"),
+        (["verify", "--theta-tilde", "0.6", "--omega-tilde", "1.7976931348623157e308"],
+         "omega_tilde=1.79769e+308"),
+        (["sweep", "--gate", "hadamard", "--omega", "1.7976931348623157e308", "--steps", "2"],
+         "DM strength"),
+        (["sweep", "--gate", "hadamard", "--omega", "8e307", "--min", "0.5", "--max", "1",
+          "--steps", "2"], "DM strength"),
+    ])
+    def test_overflowing_energy_scale_exits_2_naming_it(self, argv, name, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"holodfs {argv[0]}: {name}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 class TestToleranceBreach:
     def test_synth_exit_3_when_threshold_tightened(self, tmp_path, monkeypatch):
         # No physical input breaches the default 1e-8 bound (synthesis is
@@ -707,6 +779,12 @@ class TestOutputDirEnv:
         target = tmp_path / "direct.json"
         assert run(["synth-1q", "--gate", "pi8", "--out", str(target)]) == 0
         assert target.exists()
+
+    def test_empty_env_dir_leaves_the_path_as_given(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "")
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth-1q", "--gate", "pi8", "--out", "report.json"]) == 0
+        assert (tmp_path / "report.json").exists()
 
 
 class TestParserContract:

@@ -72,6 +72,23 @@ class TestGateParams:
         with pytest.raises(ValueError, match=f"^loop duration tau = .* {name}=1e-310$"):
             build()
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ho.GateParams1Q(theta=1.0, phi=1.0, omega=1.7976931348623157e308), "omega"),
+        (lambda: ho.GateParams2Q(theta_tilde=0.6, omega_tilde=1e308), "omega_tilde"),
+    ], ids=["1q", "2q"])
+    def test_overflowing_field_term_names_the_scale(self, build, name):
+        with pytest.raises(ValueError, match=rf"^{name}=.* overflows the loop Hamiltonian"):
+            build()
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ho.GateParams2Q(0.6, m_tilde=3.0), "m_tilde"),
+        (lambda: ho.params_for_rotation(1.0, 2.0, m=2.0), "m"),
+        (lambda: ho.GateParams1Q(theta=1.0, phi=0.5, m=math.nan), "m"),
+    ], ids=["m_tilde=3.0", "m=2.0", "m=nan"])
+    def test_non_integral_winding_is_refused(self, build, name):
+        with pytest.raises(ValueError, match=f"^winding {name} must be a positive integer"):
+            build()
+
 
 class TestSharedLoopMembers:
     LOOPS = [ho.GateParams1Q(theta=1.1, phi=0.6, m=2, omega=1.3),

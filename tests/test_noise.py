@@ -145,10 +145,21 @@ class TestSweepSpec:
     @pytest.mark.parametrize("target, extra, message", [
         ("hadamard", {"m": 0}, "winding m must be a positive integer"),
         ("pi8", {"omega": -1.0}, "omega must be finite and positive"),
+        ("pi8", {"omega": -1.7e308}, "omega must be finite and positive"),
+        ("pi8", {"omega": -1.0, "ratio_min": 1e-310}, "omega must be finite and positive"),
+        ("hadamard", {"m": 2.0}, "winding m must be a positive integer, got 2.0"),
     ])
     def test_refuses_a_bad_loop_when_built(self, target, extra, message):
         with pytest.raises(ValueError, match=message):
             noise.SweepSpec(gate_target=target, **extra)
+
+    @pytest.mark.parametrize("omega, ratio_min", [(1.7976931348623157e308, 1.0), (8e307, 0.5)])
+    def test_refuses_sector_energies_that_overflow(self, omega, ratio_min):
+        # omega + omega/ratio_min bounds the grid's largest DM strength and
+        # loop energy; four times it must stay finite.
+        with pytest.raises(ValueError, match="^DM strength omega/ratio_min = .* overflows$"):
+            noise.SweepSpec(gate_target="hadamard", omega=omega, ratio_min=ratio_min,
+                            ratio_max=max(ratio_min, 1.0))
 
 
 # Loop parameters that loop_target and SweepSpec take, with the target each
