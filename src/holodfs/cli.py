@@ -89,9 +89,15 @@ def _emit(text: str, out: str | None) -> None:
         return
     # join keeps an absolute ``out`` as it is, and join("", out) is ``out``.
     path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), out)
+    # The flags and mode of open(path, "w"), without its text layer.
     try:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise CommandError(f"cannot write output file {path}: {exc}", EXIT_IO)
 
@@ -311,12 +317,11 @@ def cmd_classify(args) -> int:
 
 
 def _sweep_csv(table) -> str:
-    # One row per grid point, first axis outermost.  Each ratio repeats on
-    # many rows, so it is formatted once; the computed columns are filled in
-    # by one formatting pass over plain floats.
-    first = ["%.12g," % value for value in table.axis1.tolist()]
-    second = ["%.12g," % value for value in table.axis2.tolist()]
-    rows = "".join(a + b + "%.12g,%.12g\n" for a in first for b in second)
+    # One row per grid point, first axis outermost.  Each ratio is formatted
+    # once and the rows of one first ratio are one join; the computed
+    # columns are filled in by one formatting pass over plain floats.
+    tails = ["", *("%.12g,%%.12g,%%.12g\n" % value for value in table.axis2.tolist())]
+    rows = "".join([("%.12g," % value).join(tails) for value in table.axis1.tolist()])
     points = np.column_stack([table.fidelity.ravel(), table.leakage.ravel()])
     return "ratio1,ratio2,fidelity,leakage\n" + rows % tuple(points.ravel().tolist())
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg
+from . import linalg, spin_model
 from .holonomy import (
     GATE_PRESETS,  # noqa: F401  (read here by tests/test_acceptance.py and demo 04)
     TIME_SAMPLES,
@@ -209,20 +209,55 @@ def sweep_axes(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.ratio_min, spec.ratio_max, spec.steps_per_axis)
 
 
+# Per loop type: the builders and the restricted unit DM bonds ``(G1, r1)``,
+# ``(G2, r2)`` they gave (see _sector_terms).
+_BONDS = {}
+# Lambda split (rows, hubs, ground) per union nonzero pattern of the terms.
+_SPLITS = {}
+
+
+def _sector_terms(g: GateParams1Q | GateParams2Q, sector: SubspaceFrame):
+    # ``(H0, r0), (G1, r1), (G2, r2)`` of ``g`` restricted to its sector.  The
+    # bonds depend only on the loop type and the builders, so they are
+    # restricted once per type and rebuilt when a builder is replaced.
+    builders = (spin_model.build_h1, spin_model.build_h2)
+    slot = _BONDS.get(type(g))
+    if slot is None or slot[0] != builders:
+        h0, *bonds = (restrict(term, sector) for term in g.terms())
+        for bond, _ in bonds:
+            bond.setflags(write=False)
+        _BONDS[type(g)] = slot = builders, tuple(bonds)
+    else:
+        h0 = restrict(g.hamiltonian(), sector)
+    return (h0, *slot[1])
+
+
 def _lambda_blocks(terms, sector: SubspaceFrame, logical: SubspaceFrame):
     # Split sector-restricted terms into equal, mutually uncoupled lambda
     # systems: block j is one excited level coupled to the logical rows
     # rows[j] (positions in the logical frame), with its coupling rows
     # couplings[i, j] and energies detunings[i, j] in term i.  Any other
     # nonzero entry, like a non-Hermitian term, is refused, so the closed
-    # form of run_sweep never meets another Hamiltonian.
+    # form of run_sweep never meets another Hamiltonian.  The split depends
+    # only on the nonzero pattern and is kept per pattern; refusals are not.
     stack = np.asarray(terms, dtype=complex)
     linalg.require_hermitian(stack, "sector Hamiltonian")
+    nonzero = np.any(stack != 0, axis=0)
+    nonzero |= nonzero.T
+    key = sector.labels, logical.labels, nonzero.tobytes()
+    split = _SPLITS.get(key)
+    if split is None:
+        split = _SPLITS[key] = _lambda_split(nonzero, sector, logical)
+    rows, hubs, ground = split
+    return rows, stack[:, hubs[:, None], ground], stack[:, hubs, hubs].real
+
+
+def _lambda_split(nonzero: np.ndarray, sector: SubspaceFrame, logical: SubspaceFrame):
+    # Logical rows, excited level and sector rows of each lambda block of a
+    # Hermitian nonzero pattern, as read-only arrays; ValueError otherwise.
     labels = sector.labels
     ground = [labels.index(label) for label in logical.labels]
     excited = [i for i in range(len(labels)) if i not in ground]
-    nonzero = np.any(stack != 0, axis=0)
-    nonzero |= nonzero.T
     partner = [next((e for e in excited if nonzero[g, e]), None) for g in ground]
     if None in partner:
         raise ValueError(f"sector Hamiltonian is not a lambda system: logical level "
@@ -239,8 +274,10 @@ def _lambda_blocks(terms, sector: SubspaceFrame, logical: SubspaceFrame):
     if len({len(r) for r in rows}) > 1:
         raise ValueError("sector Hamiltonian is not a lambda system of equal blocks")
     rows = np.array(rows)
-    return (rows, stack[:, np.array(hubs)[:, None], np.array(ground)[rows]],
-            stack[:, hubs, hubs].real)
+    split = rows, np.array(hubs), np.array(ground)[rows]
+    for array in split:
+        array.setflags(write=False)
+    return split
 
 
 def _lambda_points(blocks, d1: np.ndarray, d2: np.ndarray):
@@ -257,7 +294,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     The perturbed Hamiltonian ``H0 + d1*G1 + d2*G2`` is linear in the DM
     strengths and leaves the fixed-excitation sector invariant, so the three
-    terms are restricted to the sector once and split by
+    terms are restricted to the sector once (the unit bonds ``G1``, ``G2``
+    once per loop type and process) and split by
     ``_lambda_blocks`` into lambda systems: one for the single-qubit
     loop, two (one per value of the first logical qubit) for the two-qubit
     loop.  In each, the logical block is zero and only the bright state
@@ -288,7 +326,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     axis = sweep_axes(spec)
     g, ideal = spec.loop
     sector, logical = g.frames()
-    terms, (r0, r1, r2) = zip(*(restrict(term, sector) for term in g.terms()))
+    terms, (r0, r1, r2) = zip(*_sector_terms(g, sector))
     blocks = _lambda_blocks(terms, sector, logical)
     rows = blocks[0]
     # tr V_j^dag and V_j^dag of the ideal gate's diagonal blocks.
@@ -305,27 +343,28 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         d1 = strengths[start:start + rows_per_chunk, None, None]
         c, delta = _lambda_points(blocks, d1, d2)
         size = np.hypot.reduce(np.abs(c), axis=-1)
-        alpha = np.hypot(size, delta / 2)
+        half = delta / 2
+        alpha = np.hypot(size, half)
         # Largest |E| per row; the guard sees the chunk's largest (or first
         # NaN) and names its row.
-        top = np.max(np.abs(delta) / 2 + alpha, axis=(1, 2))
-        i = int(np.argmax(top))
+        top = (np.abs(half) + alpha).max(axis=(1, 2))
+        i = int(top.argmax())
         require_phase_precision(top[i], tau, where=f" at ratio1 = {axis[start + i]:.6g}",
                                 remedy="raise ratio_min or lower m")
         phase = alpha * tau
         a = np.exp(-0.5j * tau * delta) * (
-            np.cos(phase) + 1j * (delta / 2 / alpha) * np.sin(phase))
+            np.cos(phase) + 1j * (half / alpha) * np.sin(phase))
         norm = np.abs(a)
-        _require_contraction(np.max(norm))
+        _require_contraction(norm.max())
         # c underflows to 0 where a loop with no exchange coupling meets DM
         # strengths below the float range; the block is then the identity.
         unit = np.divide(c, size[..., None], out=np.zeros_like(c), where=size[..., None] > 0)
         # b^dag V_j^dag b with b = conj(unit).
         bright = np.einsum("...ja,jab,...jb->...j", unit, ideal_dag, unit.conj())
-        overlap = np.sum(trace_dag - (1 - a) * bright, axis=-1)
-        trace_term = np.sum(rows.shape[1] - 1 + norm**2, axis=-1)
-        fidelity[start:start + len(d1)] = np.clip(
-            (np.abs(overlap) ** 2 + trace_term) / (k * (k + 1)), 0.0, 1.0)
+        overlap = (trace_dag - (1 - a) * bright).sum(axis=-1)
+        trace_term = (rows.shape[1] - 1 + norm**2).sum(axis=-1)
+        np.clip((np.abs(overlap) ** 2 + trace_term) / (k * (k + 1)), 0.0, 1.0,
+                out=fidelity[start:start + len(d1)])
     leakage = np.minimum(
         (tau * (r0 + strengths[:, None] * r1 + strengths * r2)) ** 2, 1.0)
     return SweepTable(axis1=axis.copy(), axis2=axis.copy(), fidelity=fidelity,

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -554,7 +556,7 @@ class TestSweep:
         assert f"holodfs sweep: {name} applies only to the" in captured.err
         assert captured.out == ""
 
-    def test_unwritable_path_exits_4(self):
+    def test_unwritable_path_exits_4(self, capsys):
         code = run(
             [
                 "sweep", "--gate", "hadamard", "--steps", "2",
@@ -562,6 +564,11 @@ class TestSweep:
             ]
         )
         assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "holodfs sweep: cannot write output file /nonexistent-dir/x.csv: "
+            "[Errno 2] No such file or directory: '/nonexistent-dir/x.csv'\n")
+        assert captured.out == ""
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -785,6 +792,46 @@ class TestOutputDirEnv:
         monkeypatch.chdir(tmp_path)
         assert run(["synth-1q", "--gate", "pi8", "--out", "report.json"]) == 0
         assert (tmp_path / "report.json").exists()
+
+
+class TestOutFile:
+    ARGV = ["sweep", "--gate", "hadamard", "--steps", "2"]
+
+    def test_writes_the_bytes_of_stdout(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(self.ARGV) == 0
+        printed = capsys.readouterr().out
+        assert run(self.ARGV + ["--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode()
+
+    def test_truncates_a_longer_file(self, tmp_path):
+        out = tmp_path / "s.csv"
+        out.write_bytes(b"x" * 100_000)
+        assert run(self.ARGV + ["--out", str(out)]) == 0
+        assert out.read_text().startswith("ratio1,ratio2,fidelity,leakage\n")
+        assert out.stat().st_size < 1000 and b"x" not in out.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_file_mode_is_that_of_open(self, umask, tmp_path):
+        # 0o666 minus the umask, as open(path, "w") creates a file.
+        out, reference = tmp_path / "s.csv", tmp_path / "reference"
+        previous = os.umask(umask)
+        try:
+            assert run(self.ARGV + ["--out", str(out)]) == 0
+            open(reference, "w").close()
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE(out.stat().st_mode)
+        assert mode == 0o666 & ~umask == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_relative_path_joins_env_dir_in_the_refusal(self, tmp_path, monkeypatch, capsys):
+        base = tmp_path / "missing"
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(base))
+        assert run(self.ARGV + ["--out", "sub/x.csv"]) == 4
+        path = os.path.join(str(base), "sub/x.csv")
+        assert capsys.readouterr().err == (
+            f"holodfs sweep: cannot write output file {path}: "
+            f"[Errno 2] No such file or directory: {path!r}\n")
 
 
 class TestParserContract:

@@ -103,6 +103,30 @@ def test_logical_level_without_excited_partner_is_refused():
         noise._lambda_blocks(lone, sector, logical)
 
 
+def test_a_refused_pattern_is_refused_on_every_call(monkeypatch):
+    monkeypatch.setattr(noise, "_SPLITS", {})
+    g = _loop("hadamard")
+    sector, logical, terms = _sector_terms(g)
+    lone = [t.copy() for t in terms]
+    for t in lone:
+        t[0, 2] = t[2, 0] = 0.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match="logical level 001 couples to no excited level"):
+            noise._lambda_blocks(lone, sector, logical)
+    assert noise._SPLITS == {}
+
+
+def test_a_kept_split_still_checks_hermiticity():
+    # The skew entry keeps the nonzero pattern, and so the kept split, of
+    # the loop's own terms.
+    sector, logical, terms = _sector_terms(_loop("hadamard"))
+    noise._lambda_blocks(terms, sector, logical)
+    skewed = [t.copy() for t in terms]
+    skewed[0][0, 2] += 1e-6
+    with pytest.raises(ValueError, match="sector Hamiltonian is not Hermitian"):
+        noise._lambda_blocks(skewed, sector, logical)
+
+
 def test_vanishing_coupling_leaves_the_logical_block_alone():
     # gamma = 2*pi puts the whole loop into the field term, and the DM
     # strengths omega/ratio underflow to 0 at ratio 1e300: c = 0 there, so

@@ -208,6 +208,61 @@ def test_haar_estimate_within_three_sigma_of_closed_form(index):
     assert abs(estimate - exact) <= 3 * stderr
 
 
+# The four qubit states whose Bloch vectors form a regular tetrahedron: a
+# SIC-POVM, and so a qubit 2-design (Renes et al., J. Math. Phys. 45, 2171
+# (2004)).  The linear entropy 2|det psi|^2 of psi = u (a (x) b) has degree
+# two in a, b and their conjugates, so its mean over the 16 products of
+# these states is the entangling power exactly, with no sampling error.
+_POLAR = math.acos(-1.0 / 3.0)
+TETRAHEDRON = np.array(
+    [[1.0, 0.0]] + [[math.cos(_POLAR / 2), np.exp(2j * math.pi * k / 3) * math.sin(_POLAR / 2)]
+                    for k in range(3)])
+DESIGN_TOL = 1e-12
+
+
+def design_entangling_power(u):
+    inputs = np.einsum("ai,bj->abij", TETRAHEDRON, TETRAHEDRON).reshape(16, 4)
+    psi = inputs @ np.asarray(u, dtype=complex).T
+    det = psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]
+    return float(np.mean(2.0 * np.abs(det) ** 2))
+
+
+def _assert_design_matches_closed_form(u):
+    g1, _ = ent.local_invariants(u)
+    assert abs(design_entangling_power(u) - ent.EP_MAX * (1.0 - abs(g1))) <= DESIGN_TOL
+
+
+def test_tetrahedral_states_are_a_qubit_2_design():
+    # Second moment of a 2-design: E[(a a^dag)^(x)2] = (I + SWAP)/6.
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    moment = np.mean([np.kron(np.outer(a, a.conj()), np.outer(a, a.conj()))
+                      for a in TETRAHEDRON], axis=0)
+    assert np.max(np.abs(moment - (np.eye(4) + swap) / 6)) <= 1e-15
+
+
+@settings(deadline=None, max_examples=100)
+@given(unitary_seed=seeds)
+def test_design_average_equals_closed_form_on_haar_unitaries(unitary_seed):
+    _assert_design_matches_closed_form(random_unitary(np.random.default_rng(unitary_seed), 4))
+
+
+@pytest.mark.parametrize("u, exact", [
+    (np.eye(4), 0.0),
+    (np.eye(4)[[0, 1, 3, 2]], 2.0 / 9.0),
+], ids=["identity", "cnot"])
+def test_design_average_at_the_identity_and_cnot(u, exact):
+    assert abs(design_entangling_power(u) - exact) <= DESIGN_TOL
+    _assert_design_matches_closed_form(u)
+
+
+@settings(deadline=None, max_examples=100)
+@given(point=st.tuples(*[st.floats(0.0, 1.0)] * 3), dressing_seed=seeds)
+def test_design_average_equals_closed_form_on_dressed_canonical_gates(point, dressing_seed):
+    c1, c2, c3 = sorted((math.pi * x for x in point), reverse=True)
+    u = dressed_canonical(c1, c2, c3, np.random.default_rng(dressing_seed))
+    _assert_design_matches_closed_form(u)
+
+
 @pytest.fixture
 def workers(monkeypatch):
     """Force the estimator's thread count: ``workers(n)``."""

@@ -284,3 +284,86 @@ def test_two_hundred_step_two_qubit_sweep_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+# The unit DM bonds G1, G2 depend only on the loop type, so run_sweep keeps
+# them restricted, one slot per type, while the spin_model builders that
+# made them stay in place.
+_TYPE_PAIRS = [
+    ({"gate_target": "hadamard"}, {"gate_target": "custom", "theta": 1.2, "gamma": 3.0,
+                                   "m": 2}),
+    ({"gate_target": "two_qubit", "theta_tilde": 0.6},
+     {"gate_target": "two_qubit", "theta_tilde": 0.3, "m": 3}),
+]
+
+
+@pytest.mark.parametrize("first, second", _TYPE_PAIRS, ids=["1q", "2q"])
+def test_bonds_are_restricted_once_per_loop_type(first, second, monkeypatch):
+    calls = []
+    restrict = spin_model.restrict
+
+    def counting(h, frame):
+        calls.append(len(h))
+        return restrict(h, frame)
+
+    monkeypatch.setattr(noise, "_BONDS", {})
+    monkeypatch.setattr(noise, "restrict", counting)
+    noise.run_sweep(noise.SweepSpec(steps_per_axis=2, **first))
+    assert len(calls) == 3
+    calls.clear()
+    noise.run_sweep(noise.SweepSpec(steps_per_axis=2, **second))
+    assert len(calls) == 1
+
+
+def test_a_replaced_builder_rebuilds_the_bonds_and_its_removal_restores_them():
+    # The field enters the two bond terms only, so a nonzero leakage bound
+    # shows that the bonds of the replaced builder were used.
+    spec = noise.SweepSpec(gate_target="hadamard", ratio_min=2.0, ratio_max=50.0,
+                           steps_per_axis=3)
+    first = noise.run_sweep(spec)
+    build_h1 = spin_model.build_h1
+    field = 1e-3 * pauli_on(3, 0, "x")
+
+    def with_field(p):
+        return build_h1(p) + field if (p.d1a_z, p.d2a_z) != (0.0, 0.0) else build_h1(p)
+
+    with mock.patch.object(spin_model, "build_h1", with_field):
+        patched = noise.run_sweep(spec)
+    again = noise.run_sweep(spec)
+    assert np.all(first.leakage == 0.0) and np.all(patched.leakage > 0.0)
+    assert np.array_equal(again.fidelity, first.fidelity)
+    assert np.array_equal(again.leakage, first.leakage)
+
+
+def test_kept_bonds_and_lambda_splits_are_read_only():
+    for target, _ in _TYPE_PAIRS:
+        noise.run_sweep(noise.SweepSpec(steps_per_axis=2, **target))
+    arrays = [bond for _, bonds in noise._BONDS.values() for bond, _ in bonds]
+    arrays += [array for split in noise._SPLITS.values() for array in split]
+    assert len(noise._BONDS) == 2 and len(arrays) == 4 + 3 * len(noise._SPLITS)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+
+
+_loop_targets = st.one_of(
+    st.builds(lambda theta, fraction, m: {"gate_target": "custom", "theta": theta,
+                                          "gamma": fraction * 2.0 * m * math.pi, "m": m},
+              st.floats(0.0, math.pi), st.floats(0.0, 1.0), st.sampled_from([1, 2])),
+    st.builds(lambda theta_tilde, m: {"gate_target": "two_qubit",
+                                      "theta_tilde": theta_tilde, "m": m},
+              st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+              st.sampled_from([1, 3])),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(target=_loop_targets, r1=ratios, r2=ratios)
+def test_kept_bonds_and_splits_give_the_grid_of_a_cold_start(target, r1, r2):
+    spec = _two_point_spec(r1, r2, **target)
+    noise.run_sweep(spec)
+    warm = noise.run_sweep(spec)
+    with mock.patch.object(noise, "_BONDS", {}), mock.patch.object(noise, "_SPLITS", {}):
+        cold = noise.run_sweep(spec)
+    assert np.array_equal(warm.fidelity, cold.fidelity)
+    assert np.array_equal(warm.leakage, cold.leakage)

@@ -87,7 +87,7 @@ SWEEP_2Q = ["sweep", "--gate", "two-qubit", "--theta-tilde", "0.6"]
 
 # (name, arguments): the README commands, sweeps of every target on both
 # scales, time-sample counts that span several chunks of the dynamics check,
-# classification, help texts, and refused inputs (exit 2 or 5).
+# classification, help texts, and refused inputs (exit 2, 4 or 5).
 INVOCATIONS = [
     ("readme_synth1q_hadamard", ["synth-1q", "--gate", "hadamard", "--out", "hadamard.json"]),
     ("readme_synth1q_custom", ["synth-1q", "--theta", "0.8", "--gamma", "2.4", "--m", "2"]),
@@ -153,6 +153,8 @@ INVOCATIONS = [
     ("refuse_sweep_steps", ["sweep", "--gate", "hadamard", "--steps", "501"]),
     ("refuse_sweep_min", ["sweep", "--gate", "pi8", "--min", "inf"]),
     ("refuse_sweep_phase", ["sweep", "--gate", "hadamard", "--min", "1e-12", "--steps", "4"]),
+    ("refuse_sweep_out", ["sweep", "--gate", "hadamard", "--steps", "2",
+                          "--out", "missing-dir/x.csv"]),
 ]
 
 
