@@ -126,11 +126,10 @@ class GateParams1Q:
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full-space ``(H0, G1, G2)``: the loop Hamiltonian under DM strengths
         ``d1``, ``d2`` on the bonds Q1-Qa and Qa-Q2 is ``H0 + d1*G1 + d2*G2``."""
-        return (self.hamiltonian(),
-                spin_model.build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d1a_z=1.0)),
-                spin_model.build_h1(CouplingParams1Q(0.0, 0.0, 0.0, d2a_z=1.0)))
+        return (self.hamiltonian(), *spin_model.dm_bonds(3))
 
-    def frames(self, effective: bool = False) -> tuple[SubspaceFrame, SubspaceFrame]:
+    @staticmethod
+    def frames(effective: bool = False) -> tuple[SubspaceFrame, SubspaceFrame]:
         """Frames of the loop's excitation sector and logical qubit.
 
         The sector frame is in full space; the logical frame too, or with
@@ -188,11 +187,10 @@ class GateParams2Q:
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full-space ``(H0, G1, G2)`` with DM generators on the bonds Q3-Q2
         and Q2-Q4, as for :meth:`GateParams1Q.terms`."""
-        return (self.hamiltonian(),
-                spin_model.build_h2(CouplingParams2Q(0.0, 0.0, d32_z=1.0)),
-                spin_model.build_h2(CouplingParams2Q(0.0, 0.0, d42_z=1.0)))
+        return (self.hamiltonian(), *spin_model.dm_bonds(4))
 
-    def frames(self, effective: bool = False) -> tuple[SubspaceFrame, SubspaceFrame]:
+    @staticmethod
+    def frames(effective: bool = False) -> tuple[SubspaceFrame, SubspaceFrame]:
         """Frames of the 6-dim sector and the two logical qubits, as for
         :meth:`GateParams1Q.frames`."""
         return spin_model.dfs6_frame(), spin_model.logical_frame_2q(effective)

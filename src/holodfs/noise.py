@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -209,53 +210,45 @@ def sweep_axes(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.ratio_min, spec.ratio_max, spec.steps_per_axis)
 
 
-# Per loop type: the builders and the restricted unit DM bonds ``(G1, r1)``,
-# ``(G2, r2)`` they gave (see _sector_terms).
-_BONDS = {}
-# Lambda split (rows, hubs, ground) per union nonzero pattern of the terms.
-_SPLITS = {}
+@cache
+def _loop_setup(loop: type):
+    # A loop type's unit DM bonds restricted to its sector, ((G1, r1), (G2, r2))
+    # with read-only G, and _lambda_split of their pattern: any H0 of the type
+    # couples the same entries and adds only the excited levels' energies.
+    sector, logical = loop.frames()
+    bonds = tuple(restrict(bond, sector) for bond in spin_model.dm_bonds(sector.n_qubits))
+    for bond, _ in bonds:
+        bond.setflags(write=False)
+    return (bonds, *_lambda_split((bonds[0][0] != 0) | (bonds[1][0] != 0), sector, logical))
 
 
-def _sector_terms(g: GateParams1Q | GateParams2Q, sector: SubspaceFrame):
-    # ``(H0, r0), (G1, r1), (G2, r2)`` of ``g`` restricted to its sector.  The
-    # bonds depend only on the loop type and the builders, so they are
-    # restricted once per type and rebuilt when a builder is replaced.
-    builders = (spin_model.build_h1, spin_model.build_h2)
-    slot = _BONDS.get(type(g))
-    if slot is None or slot[0] != builders:
-        h0, *bonds = (restrict(term, sector) for term in g.terms())
-        for bond, _ in bonds:
-            bond.setflags(write=False)
-        _BONDS[type(g)] = slot = builders, tuple(bonds)
-    else:
-        h0 = restrict(g.hamiltonian(), sector)
-    return (h0, *slot[1])
+def _require_lambda_entries(nonzero: np.ndarray, allowed: np.ndarray, labels) -> None:
+    # Refuse the first nonzero entry of a symmetric pattern outside ``allowed``.
+    stray = nonzero & ~allowed
+    if stray.any():
+        a, b = (labels[i] for i in np.argwhere(stray)[0])
+        raise ValueError(f"sector Hamiltonian is not a lambda system: <{a}|H|{b}> is not zero")
 
 
-def _lambda_blocks(terms, sector: SubspaceFrame, logical: SubspaceFrame):
-    # Split sector-restricted terms into equal, mutually uncoupled lambda
-    # systems: block j is one excited level coupled to the logical rows
-    # rows[j] (positions in the logical frame), with its coupling rows
-    # couplings[i, j] and energies detunings[i, j] in term i.  Any other
-    # nonzero entry, like a non-Hermitian term, is refused, so the closed
-    # form of run_sweep never meets another Hamiltonian.  The split depends
-    # only on the nonzero pattern and is kept per pattern; refusals are not.
-    stack = np.asarray(terms, dtype=complex)
+def _lambda_blocks(h0: np.ndarray, sector: SubspaceFrame, loop: type):
+    # H0 (restricted to ``sector``) and the unit bonds of ``loop`` as equal,
+    # uncoupled lambda systems: block j couples one excited level to the
+    # logical rows rows[j], with coupling rows couplings[i, j] and energies
+    # detunings[i, j] in term i.  A non-Hermitian H0, or one with any other
+    # nonzero entry, is refused: the closed form meets no other Hamiltonian.
+    ((g1, _), (g2, _)), (rows, hubs, ground), allowed = _loop_setup(loop)
+    stack = np.array([h0, g1, g2])
     linalg.require_hermitian(stack, "sector Hamiltonian")
-    nonzero = np.any(stack != 0, axis=0)
-    nonzero |= nonzero.T
-    key = sector.labels, logical.labels, nonzero.tobytes()
-    split = _SPLITS.get(key)
-    if split is None:
-        split = _SPLITS[key] = _lambda_split(nonzero, sector, logical)
-    rows, hubs, ground = split
+    _require_lambda_entries((h0 != 0) | (h0.T != 0), allowed, sector.labels)
     return rows, stack[:, hubs[:, None], ground], stack[:, hubs, hubs].real
 
 
 def _lambda_split(nonzero: np.ndarray, sector: SubspaceFrame, logical: SubspaceFrame):
-    # Logical rows, excited level and sector rows of each lambda block of a
-    # Hermitian nonzero pattern, as read-only arrays; ValueError otherwise.
+    # The split ``(rows, hubs, ground)`` of a nonzero pattern into lambda
+    # blocks: logical rows, excited level and sector rows of each block, and
+    # the entries the blocks allow, all read-only; ValueError otherwise.
     labels = sector.labels
+    nonzero = nonzero | nonzero.T
     ground = [labels.index(label) for label in logical.labels]
     excited = [i for i in range(len(labels)) if i not in ground]
     partner = [next((e for e in excited if nonzero[g, e]), None) for g in ground]
@@ -265,19 +258,16 @@ def _lambda_split(nonzero: np.ndarray, sector: SubspaceFrame, logical: SubspaceF
     allowed = np.zeros_like(nonzero)
     allowed[ground, partner] = allowed[partner, ground] = True
     allowed[excited, excited] = True
-    stray = np.argwhere(nonzero & ~allowed)
-    if len(stray):
-        a, b = (labels[i] for i in stray[0])
-        raise ValueError(f"sector Hamiltonian is not a lambda system: <{a}|H|{b}> is not zero")
+    _require_lambda_entries(nonzero, allowed, labels)
     hubs = list(dict.fromkeys(partner))
     rows = [[pos for pos, e in enumerate(partner) if e == hub] for hub in hubs]
     if len({len(r) for r in rows}) > 1:
         raise ValueError("sector Hamiltonian is not a lambda system of equal blocks")
     rows = np.array(rows)
     split = rows, np.array(hubs), np.array(ground)[rows]
-    for array in split:
+    for array in (*split, allowed):
         array.setflags(write=False)
-    return split
+    return split, allowed
 
 
 def _lambda_points(blocks, d1: np.ndarray, d2: np.ndarray):
@@ -294,9 +284,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     The perturbed Hamiltonian ``H0 + d1*G1 + d2*G2`` is linear in the DM
     strengths and leaves the fixed-excitation sector invariant, so the three
-    terms are restricted to the sector once (the unit bonds ``G1``, ``G2``
-    once per loop type and process) and split by
-    ``_lambda_blocks`` into lambda systems: one for the single-qubit
+    terms are restricted to the sector and split into lambda systems once
+    (the unit bonds ``G1``, ``G2`` and the split once per loop type and
+    process, by ``_loop_setup``): one for the single-qubit
     loop, two (one per value of the first logical qubit) for the two-qubit
     loop.  In each, the logical block is zero and only the bright state
     ``b = conj(c)/|c|`` of the logical rows couples, through the coupling
@@ -325,9 +315,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     """
     axis = sweep_axes(spec)
     g, ideal = spec.loop
-    sector, logical = g.frames()
-    terms, (r0, r1, r2) = zip(*_sector_terms(g, sector))
-    blocks = _lambda_blocks(terms, sector, logical)
+    sector, _ = g.frames()
+    h0, r0 = restrict(g.hamiltonian(), sector)
+    blocks = _lambda_blocks(h0, sector, type(g))
+    (_, r1), (_, r2) = _loop_setup(type(g))[0]
     rows = blocks[0]
     # tr V_j^dag and V_j^dag of the ideal gate's diagonal blocks.
     ideal_dag = ideal.conj().T[rows[:, :, None], rows[:, None, :]]

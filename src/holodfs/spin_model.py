@@ -162,6 +162,15 @@ def build_h2(p: CouplingParams2Q) -> np.ndarray:
 
 
 @cache
+def dm_bonds(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only unit DM bonds of ``build_h1`` (``n = 3``) or ``build_h2`` (``n = 4``)."""
+    terms = {3: _H1_TERMS, 4: _H2_TERMS}[n]
+    bonds = (np.eye(len(terms))[-2:] @ terms).reshape(2, 2**n, 2**n)
+    bonds.setflags(write=False)
+    return tuple(bonds)
+
+
+@cache
 def dfs_frame(n: int, excitations: int) -> SubspaceFrame:
     """Frame of all ``n``-qubit basis states with the given excitation count.
 

@@ -48,7 +48,7 @@ def test_sector_terms_have_the_lambda_shape_exactly(gate):
     for term in terms:
         for a, b in np.argwhere(term != 0):
             assert (labels[a], labels[b]) in allowed
-    rows, couplings, detunings = noise._lambda_blocks(terms, sector, logical)
+    rows, couplings, detunings = noise._lambda_blocks(terms[0], sector, type(_loop(gate)))
     assert [tuple(logical.labels[r] for r in block) for block in rows] == [
         block for block, _ in _BLOCKS[gate]]
     assert couplings.shape == (3, len(_BLOCKS[gate]), 2)
@@ -94,37 +94,23 @@ def test_non_hermitian_term_is_refused(monkeypatch):
 
 
 def test_logical_level_without_excited_partner_is_refused():
-    g = _loop("hadamard")
-    sector, logical, terms = _sector_terms(g)
-    lone = [t.copy() for t in terms]
-    for t in lone:
-        t[0, 2] = t[2, 0] = 0.0
+    sector, logical, terms = _sector_terms(_loop("hadamard"))
+    nonzero = np.any([t != 0 for t in terms], axis=0)
+    nonzero[0, 2] = nonzero[2, 0] = False
     with pytest.raises(ValueError, match="logical level 001 couples to no excited level"):
-        noise._lambda_blocks(lone, sector, logical)
-
-
-def test_a_refused_pattern_is_refused_on_every_call(monkeypatch):
-    monkeypatch.setattr(noise, "_SPLITS", {})
-    g = _loop("hadamard")
-    sector, logical, terms = _sector_terms(g)
-    lone = [t.copy() for t in terms]
-    for t in lone:
-        t[0, 2] = t[2, 0] = 0.0
-    for _ in range(2):
-        with pytest.raises(ValueError, match="logical level 001 couples to no excited level"):
-            noise._lambda_blocks(lone, sector, logical)
-    assert noise._SPLITS == {}
+        noise._lambda_split(nonzero, sector, logical)
 
 
 def test_a_kept_split_still_checks_hermiticity():
-    # The skew entry keeps the nonzero pattern, and so the kept split, of
-    # the loop's own terms.
-    sector, logical, terms = _sector_terms(_loop("hadamard"))
-    noise._lambda_blocks(terms, sector, logical)
-    skewed = [t.copy() for t in terms]
-    skewed[0][0, 2] += 1e-6
+    # The skew entry keeps the nonzero pattern of the loop's own terms, which
+    # the kept split allows.
+    g = _loop("hadamard")
+    sector, _, terms = _sector_terms(g)
+    noise._lambda_blocks(terms[0], sector, type(g))
+    skewed = terms[0].copy()
+    skewed[0, 2] += 1e-6
     with pytest.raises(ValueError, match="sector Hamiltonian is not Hermitian"):
-        noise._lambda_blocks(skewed, sector, logical)
+        noise._lambda_blocks(skewed, sector, type(g))
 
 
 def test_vanishing_coupling_leaves_the_logical_block_alone():

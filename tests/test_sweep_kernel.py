@@ -7,6 +7,7 @@ chunk layout is also checked against the sector route it replaced, one
 ``eigh`` per grid row: fidelity within ``ROW_BY_ROW_TOL``, leakage bit for bit.
 """
 
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from holodfs import linalg, noise, spin_model
 from holodfs.holonomy import (
+    GateParams1Q,
     GateParams2Q,
     analytic_gate_1q,
     params_for_rotation,
@@ -187,13 +189,27 @@ def test_chunks_equal_row_by_row(target, steps, log_scale, chunk, lo, span):
         _assert_equals_row_by_row(spec)
 
 
+def _cold_set_up(monkeypatch):
+    # A fresh, empty set-up cache for one test; the process-wide one, never
+    # touched, is put back after it.
+    monkeypatch.setattr(noise, "_loop_setup", functools.cache(noise._loop_setup.__wrapped__))
+
+
 @pytest.mark.parametrize("steps", [3, 33, 45])
 def test_nonzero_leakage_bound_equals_row_by_row(steps, monkeypatch):
     # A transverse field on every term makes all three residuals nonzero, so
-    # the broadcast bound is compared where its summation order matters.
+    # the broadcast bound is compared where its summation order matters.  The
+    # set-up reads the unit bonds from spin_model.dm_bonds, not the builder,
+    # so the field goes into both, under a cold set-up cache.
     build_h1 = spin_model.build_h1
     field = 1e-3 * pauli_on(3, 0, "x")
+    bonds = tuple(bond + field for bond in spin_model.dm_bonds(3))
     monkeypatch.setattr(spin_model, "build_h1", lambda p: build_h1(p) + field)
+    monkeypatch.setattr(spin_model, "dm_bonds", lambda n: bonds)
+    _cold_set_up(monkeypatch)
+    g, _ = noise.SweepSpec(gate_target="hadamard").loop
+    sector, _ = g.frames()
+    assert all(spin_model.restrict(term, sector)[1] > 0.0 for term in g.terms())
     spec = noise.SweepSpec(gate_target="hadamard", ratio_min=2.0, ratio_max=50.0,
                            steps_per_axis=steps)
     assert np.all(noise.run_sweep(spec).leakage > 0.0)
@@ -286,9 +302,8 @@ def test_two_hundred_step_two_qubit_sweep_stays_small():
     assert peak < 4_000_000
 
 
-# The unit DM bonds G1, G2 depend only on the loop type, so run_sweep keeps
-# them restricted, one slot per type, while the spin_model builders that
-# made them stay in place.
+# The unit DM bonds G1, G2 and the lambda split depend only on the loop
+# type, so run_sweep sets them up once per type and process.
 _TYPE_PAIRS = [
     ({"gate_target": "hadamard"}, {"gate_target": "custom", "theta": 1.2, "gamma": 3.0,
                                    "m": 2}),
@@ -306,7 +321,7 @@ def test_bonds_are_restricted_once_per_loop_type(first, second, monkeypatch):
         calls.append(len(h))
         return restrict(h, frame)
 
-    monkeypatch.setattr(noise, "_BONDS", {})
+    _cold_set_up(monkeypatch)
     monkeypatch.setattr(noise, "restrict", counting)
     noise.run_sweep(noise.SweepSpec(steps_per_axis=2, **first))
     assert len(calls) == 3
@@ -315,32 +330,34 @@ def test_bonds_are_restricted_once_per_loop_type(first, second, monkeypatch):
     assert len(calls) == 1
 
 
-def test_a_replaced_builder_rebuilds_the_bonds_and_its_removal_restores_them():
-    # The field enters the two bond terms only, so a nonzero leakage bound
-    # shows that the bonds of the replaced builder were used.
+def test_a_replaced_builder_leaves_the_set_up_alone(monkeypatch):
+    # The first sweep sets up the loop type under a builder that adds a
+    # transverse field to every term; the next one, without it, must give the
+    # grid of a cold start.
+    _cold_set_up(monkeypatch)
     spec = noise.SweepSpec(gate_target="hadamard", ratio_min=2.0, ratio_max=50.0,
                            steps_per_axis=3)
-    first = noise.run_sweep(spec)
     build_h1 = spin_model.build_h1
     field = 1e-3 * pauli_on(3, 0, "x")
-
-    def with_field(p):
-        return build_h1(p) + field if (p.d1a_z, p.d2a_z) != (0.0, 0.0) else build_h1(p)
-
-    with mock.patch.object(spin_model, "build_h1", with_field):
+    with mock.patch.object(spin_model, "build_h1", lambda p: build_h1(p) + field):
         patched = noise.run_sweep(spec)
-    again = noise.run_sweep(spec)
-    assert np.all(first.leakage == 0.0) and np.all(patched.leakage > 0.0)
-    assert np.array_equal(again.fidelity, first.fidelity)
-    assert np.array_equal(again.leakage, first.leakage)
+    after = noise.run_sweep(spec)
+    _cold_set_up(monkeypatch)
+    cold = noise.run_sweep(spec)
+    assert np.all(patched.leakage > 0.0) and np.all(cold.leakage == 0.0)
+    assert np.array_equal(after.fidelity, cold.fidelity)
+    assert np.array_equal(after.leakage, cold.leakage)
 
 
-def test_kept_bonds_and_lambda_splits_are_read_only():
+def test_kept_bonds_and_lambda_splits_are_read_only(monkeypatch):
+    _cold_set_up(monkeypatch)
     for target, _ in _TYPE_PAIRS:
         noise.run_sweep(noise.SweepSpec(steps_per_axis=2, **target))
-    arrays = [bond for _, bonds in noise._BONDS.values() for bond, _ in bonds]
-    arrays += [array for split in noise._SPLITS.values() for array in split]
-    assert len(noise._BONDS) == 2 and noise._SPLITS
+    assert noise._loop_setup.cache_info().currsize == 2
+    arrays = [*spin_model.dm_bonds(3), *spin_model.dm_bonds(4)]
+    for loop in (GateParams1Q, GateParams2Q):
+        bonds, split, allowed = noise._loop_setup(loop)
+        arrays += [bond for bond, _ in bonds] + [*split, allowed]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = array.flat[0]
@@ -363,7 +380,8 @@ def test_kept_bonds_and_splits_give_the_grid_of_a_cold_start(target, r1, r2):
     spec = _two_point_spec(r1, r2, **target)
     noise.run_sweep(spec)
     warm = noise.run_sweep(spec)
-    with mock.patch.object(noise, "_BONDS", {}), mock.patch.object(noise, "_SPLITS", {}):
+    cold_set_up = functools.cache(noise._loop_setup.__wrapped__)
+    with mock.patch.object(noise, "_loop_setup", cold_set_up):
         cold = noise.run_sweep(spec)
     assert np.array_equal(warm.fidelity, cold.fidelity)
     assert np.array_equal(warm.leakage, cold.leakage)
