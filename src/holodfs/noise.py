@@ -203,11 +203,17 @@ def perturbed_gate_2q(
 
 
 def sweep_axes(spec: SweepSpec) -> np.ndarray:
-    if spec.log_scale:
-        return np.logspace(
-            math.log10(spec.ratio_min), math.log10(spec.ratio_max), spec.steps_per_axis
-        )
-    return np.linspace(spec.ratio_min, spec.ratio_max, spec.steps_per_axis)
+    if not spec.log_scale:
+        return np.linspace(spec.ratio_min, spec.ratio_max, spec.steps_per_axis)
+    # logspace computes the ends as 10**log10(ratio), which can round past
+    # the largest float.
+    with np.errstate(over="ignore"):
+        axis = np.logspace(math.log10(spec.ratio_min), math.log10(spec.ratio_max),
+                           spec.steps_per_axis)
+    if not axis[-1] < math.inf:
+        raise ValueError(f"ratio_max = {spec.ratio_max:g} overflows the logarithmic "
+                         f"ratio axis; lower it or use a linear one")
+    return axis
 
 
 @cache

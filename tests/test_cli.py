@@ -3,7 +3,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +232,26 @@ class TestVerify:
         captured = capsys.readouterr()
         assert f"holodfs verify: {message}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, synth", [
+        (["--gate", "hadamard", "--omega", "3000"], "synth-1q"),
+        (["--theta-tilde", "0.6", "--omega-tilde", "3000"], "synth-2q"),
+        (["--gate", "hadamard", "--omega", "8.9e307"], "synth-1q"),
+        (["--theta", "0", "--gamma", "0.7853981634", "--omega", "8.9e307"], "synth-1q"),
+        (["--theta-tilde", "0.6", "--omega-tilde", "8.9e307"], "synth-2q"),
+    ])
+    def test_dynamical_norm_is_judged_in_units_of_omega(self, flags, synth, capsys):
+        # The norm is roundoff of order omega*eps: an energy, which the
+        # synth-* reports keep and verify divides by the loop's scale.
+        assert run(["verify"] + flags) == 0
+        criteria = json.loads(capsys.readouterr().out)["criteria"]
+        assert run([synth] + flags + ["--mc-samples", "1000"] * (synth == "synth-2q")) == 0
+        report = json.loads(capsys.readouterr().out)
+        omega = float(flags[-1])
+        for block in ("effective", "full"):
+            entry = criteria[block]["max_dynamical_norm"]
+            assert entry["value"] == report[block]["max_dynamical_norm"] / omega
+            assert entry["pass"] is True and entry["tolerance"] == 1e-12
 
     @pytest.mark.parametrize("explicit, implicit", [
         (["--gate", "pi8", "--m", "1", "--omega", "1.0"], ["--gate", "pi8"]),
@@ -686,6 +709,16 @@ class TestSweepBoundary:
         assert run(argv) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
 
+    def test_log_axis_overflow_exits_2(self, capsys):
+        # log10 of the largest float, raised to the power again, rounds past it.
+        argv = ["sweep", "--gate", "hadamard", "--steps", "3", "--max", "1.7976931348623157e308"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("holodfs sweep: ratio_max = 1.79769e+308 overflows the "
+                                "logarithmic ratio axis; lower it or use a linear one\n")
+        assert captured.out == ""
+        assert run(argv + ["--linear"]) == 0
+
     def test_roundoff_phase_exits_2(self, capsys):
         assert run(["sweep", "--gate", "hadamard", "--min", "1e-300", "--steps", "2"]) == 2
         err = capsys.readouterr().err
@@ -832,6 +865,24 @@ class TestOutFile:
         assert capsys.readouterr().err == (
             f"holodfs sweep: cannot write output file {path}: "
             f"[Errno 2] No such file or directory: {path!r}\n")
+
+
+class TestStdoutFailure:
+    # A short report fails on the flush, a 50x50 CSV already in a write.
+    @pytest.mark.parametrize("argv", [["verify", "--gate", "pi8"],
+                                      ["sweep", "--gate", "hadamard", "--steps", "50"]])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_device_exits_4_with_one_line(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "holodfs.cli", *argv], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        assert done.returncode == 4
+        assert done.stderr == (f"holodfs {argv[0]}: cannot write standard output: "
+                               f"[Errno 28] No space left on device\n")
 
 
 class TestParserContract:
