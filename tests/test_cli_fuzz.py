@@ -103,7 +103,7 @@ fuzz = settings(deadline=None, max_examples=100)
 @fuzz
 @given(st.data())
 def test_synth_1q(data):
-    event(_run(["synth-1q"] + _line(data.draw, _target_1q(), _1Q)))
+    event(_run(["synth-1q"] + _line(data.draw, _target_1q(), _FLAGS["synth-1q"])))
 
 
 @fuzz

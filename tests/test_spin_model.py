@@ -199,6 +199,15 @@ class TestPrebuiltGenerators:
         h[0, 0] = 99.0
         assert sm.build_h1(p)[0, 0] == 2 * 0.1
 
+    def test_dm_bonds_are_the_builders_unit_bonds_bit_for_bit(self):
+        built = [sm.build_h1(sm.CouplingParams1Q(0.0, 0.0, 0.0, d1a_z=1.0)),
+                 sm.build_h1(sm.CouplingParams1Q(0.0, 0.0, 0.0, d2a_z=1.0)),
+                 sm.build_h2(sm.CouplingParams2Q(0.0, 0.0, d32_z=1.0)),
+                 sm.build_h2(sm.CouplingParams2Q(0.0, 0.0, d42_z=1.0))]
+        bonds = [*sm.dm_bonds(3), *sm.dm_bonds(4)]
+        assert [b.tobytes() for b in bonds] == [b.tobytes() for b in built]
+        assert not any(b.flags.writeable for b in bonds)
+
 
 class TestDfsFrame:
     def test_logical_pair(self):
