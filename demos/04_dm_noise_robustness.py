@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from holodfs import GateParams2Q, SweepSpec, params_for_rotation, run_sweep
+from holodfs.holonomy import loop_target
 from holodfs.noise import GATE_PRESETS, perturbed_gate_1q, perturbed_gate_2q
 
 # --- single points first -------------------------------------------------------
@@ -44,12 +45,12 @@ print("\nslope -2 is the signature of the geometric protection: the dark-state")
 print("tilt is first order in D/omega, the fidelity cost second order")
 
 # --- a full sweep surface --------------------------------------------------------
-spec = SweepSpec(gate_target="hadamard", ratio_min=1.0, ratio_max=100.0,
+spec = SweepSpec(loop_target(gate="hadamard"), ratio_min=1.0, ratio_max=100.0,
                  steps_per_axis=50)
 table = run_sweep(spec)
 rows = ["ratio1,ratio2,fidelity,leakage"]
-for i, r1 in enumerate(table.axis1):
-    for j, r2 in enumerate(table.axis2):
+for i, r1 in enumerate(table.axis):
+    for j, r2 in enumerate(table.axis):
         rows.append(f"{r1:.12g},{r2:.12g},{table.fidelity[i, j]:.12g},"
                     f"{table.leakage[i, j]:.12g}")
 with open("dm_sweep_hadamard.csv", "w", newline="") as handle:
@@ -65,7 +66,7 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(5, 4))
-    mesh = ax.pcolormesh(table.axis1, table.axis2, table.fidelity.T,
+    mesh = ax.pcolormesh(table.axis, table.axis, table.fidelity.T,
                          shading="nearest", vmin=0.0, vmax=1.0)
     ax.set_xscale("log")
     ax.set_yscale("log")

@@ -329,19 +329,21 @@ def cmd_classify(args) -> int:
 
 
 def _sweep_csv(table) -> str:
-    # One row per grid point, first axis outermost.  Each ratio is formatted
+    # One row per grid point, first ratio outermost.  Each ratio is formatted
     # once and the rows of one first ratio are one join; the computed
     # columns are filled in by one formatting pass over plain floats.
-    tails = ["", *("%.12g,%%.12g,%%.12g\n" % value for value in table.axis2.tolist())]
-    rows = "".join([("%.12g," % value).join(tails) for value in table.axis1.tolist()])
+    ratios = ["%.12g," % value for value in table.axis.tolist()]
+    tails = ["", *(ratio + "%.12g,%.12g\n" for ratio in ratios)]
+    rows = "".join([ratio.join(tails) for ratio in ratios])
     points = np.column_stack([table.fidelity.ravel(), table.leakage.ravel()])
     return "ratio1,ratio2,fidelity,leakage\n" + rows % tuple(points.ravel().tolist())
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(gate_target=args.gate.replace("-", "_"), log_scale=not args.linear,
-                     **_given(args, "theta", "gamma", "theta_tilde", "m", "omega",
-                              "ratio_min", "ratio_max", "steps_per_axis"))
+    loop = loop_target(gate=args.gate.replace("-", "_"),
+                       **_given(args, "theta", "gamma", "theta_tilde", "m", "omega"))
+    spec = SweepSpec(loop, log_scale=not args.linear,
+                     **_given(args, "ratio_min", "ratio_max", "steps_per_axis"))
     _emit(_sweep_csv(run_sweep(spec)), args.out)
     return EXIT_OK
 
@@ -419,7 +421,7 @@ def _parser() -> argparse.ArgumentParser:
     w.add_argument("--gamma", type=float, help="rotation angle for --gate custom")
     w.add_argument("--theta-tilde", type=float,
                    help="coupling-ratio angle for --gate two-qubit")
-    # The dests are SweepSpec's field names; a flag left unset takes its default.
+    # The dests are loop_target's and SweepSpec's parameters; an unset flag keeps its default.
     w.add_argument("--m", type=int, help="winding integer")
     w.add_argument("--omega", type=float, help="energy scale")
     w.add_argument("--min", type=float, dest="ratio_min", metavar="MIN",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -27,7 +27,6 @@ from .holonomy import (
     analytic_gate_1q,
     analytic_gate_2q,
     evolve_and_project,
-    loop_target,
     require_phase_precision,
 )
 from .spin_model import SubspaceFrame, restrict
@@ -46,32 +45,26 @@ _NORM_SLACK = 1e-9
 SWEEP_CHUNK_POINTS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """Grid specification for a two-axis DM robustness sweep.
+    """Grid of a two-axis DM robustness sweep of one loop.
 
-    Axis values are the dimensionless ratios omega / D_z per bond.  The gate
-    target and its parameters are those of :func:`holonomy.loop_target`,
-    which the spec calls once, when it is built, to set ``loop``: the loop
-    parameters and ideal gate that :func:`run_sweep` runs.
+    ``loop`` is the ``(params, ideal)`` pair of :func:`holonomy.loop_target`:
+    the loop parameters and ideal gate that :func:`run_sweep` runs.  Axis
+    values are the dimensionless ratios omega / D_z per bond.  Specs compare
+    by identity, as ``loop`` holds an array.
     """
 
-    gate_target: str
+    loop: tuple[GateParams1Q | GateParams2Q, np.ndarray]
     ratio_min: float = 1.0
     ratio_max: float = 100.0
     steps_per_axis: int = 50
     log_scale: bool = True
-    theta: float | None = None
-    gamma: float | None = None
-    theta_tilde: float | None = None
-    m: int = 1
-    omega: float = 1.0
-    loop: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("ratio_min", "ratio_max", "omega", "theta", "gamma", "theta_tilde"):
+        for name in ("ratio_min", "ratio_max"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.ratio_min <= 0.0:
             raise ValueError(f"ratio_min must be positive, got {self.ratio_min}")
@@ -94,29 +87,27 @@ class SweepSpec:
                 f"more than MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}"
             )
         # A bound on the largest sector energy; the loop refuses a negative omega.
-        if not 4 * (self.omega + self.omega / self.ratio_min) < math.inf:
+        omega = self.loop[0].omega
+        if not 4 * (omega + omega / self.ratio_min) < math.inf:
             raise ValueError(
-                f"DM strength omega/ratio_min = {self.omega}/{self.ratio_min} overflows"
+                f"DM strength omega/ratio_min = {omega}/{self.ratio_min} overflows"
             )
-        object.__setattr__(self, "loop", loop_target(
-            self.theta, self.gamma, gate=self.gate_target, theta_tilde=self.theta_tilde,
-            m=self.m, omega=self.omega))
 
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Fidelity and sector-leakage surfaces over the two DM ratio axes.
+    """Fidelity and sector-leakage surfaces over the DM ratio grid.
 
-    Rows are indexed by ``axis1`` and columns by ``axis2``.  ``leakage`` is
-    an upper bound on the population escaping the fixed-excitation sector,
+    Rows are indexed by the first ratio and columns by the second, both
+    taking the values of ``axis``.  ``leakage`` is an upper bound on the
+    population escaping the fixed-excitation sector,
     ``min(1, (tau * (r0 + |d1| r1 + |d2| r2))**2)`` from the invariance
     residuals ``r = ||(I - P) X P||_F`` of the unperturbed Hamiltonian and
     of the two unit DM bonds.  The DM z-terms conserve excitation number,
     so every residual, and with them the bound, is exactly zero.
     """
 
-    axis1: np.ndarray
-    axis2: np.ndarray
+    axis: np.ndarray
     fidelity: np.ndarray
     leakage: np.ndarray
 
@@ -331,7 +322,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     trace_dag = np.trace(ideal_dag, axis1=-2, axis2=-1)
     k = len(ideal)
     tau = g.tau
-    strengths = spec.omega / axis
+    strengths = g.omega / axis
     d2 = strengths[:, None]
     n = len(axis)
     fidelity = np.empty((n, n))
@@ -364,5 +355,4 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                 out=fidelity[start:start + len(d1)])
     leakage = np.minimum(
         (tau * (r0 + strengths[:, None] * r1 + strengths * r2)) ** 2, 1.0)
-    return SweepTable(axis1=axis.copy(), axis2=axis.copy(), fidelity=fidelity,
-                      leakage=leakage)
+    return SweepTable(axis=axis, fidelity=fidelity, leakage=leakage)

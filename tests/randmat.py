@@ -38,3 +38,21 @@ def random_su2(rng):
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     z /= np.linalg.norm(z)
     return np.array([[z[0], -np.conj(z[1])], [z[1], np.conj(z[0])]])
+
+
+# XX, YY and ZZ, the two-qubit Pauli products of the canonical gate.
+_PAULI_PAIRS = tuple(np.kron(p, p) for p in (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+))
+
+
+def dressed_canonical(c1, c2, c3, rng):
+    """exp(i(c1 XX + c2 YY + c3 ZZ)/2) between random local SU(2) factors."""
+    h = sum(c * pair for c, pair in zip((c1, c2, c3), _PAULI_PAIRS))
+    values, vectors = np.linalg.eigh(h)
+    canonical = (vectors * np.exp(0.5j * values)) @ vectors.conj().T
+    left = np.kron(random_su2(rng), random_su2(rng))
+    right = np.kron(random_su2(rng), random_su2(rng))
+    return left @ canonical @ right

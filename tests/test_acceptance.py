@@ -175,7 +175,7 @@ def test_08_noise_robustness():
     # (d) full-resolution sweep: timing budget and corner ordering.
     start = time.monotonic()
     table = noise.run_sweep(
-        noise.SweepSpec(gate_target="hadamard", ratio_min=1.0, ratio_max=100.0,
+        noise.SweepSpec(ho.loop_target(gate="hadamard"), ratio_min=1.0, ratio_max=100.0,
                         steps_per_axis=50)
     )
     elapsed = time.monotonic() - start

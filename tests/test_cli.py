@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from holodfs import cli
 from holodfs import entanglement as ent
-from holodfs.holonomy import analytic_gate_1q
+from holodfs.holonomy import analytic_gate_1q, loop_target
 from holodfs.noise import SweepSpec, SweepTable, run_sweep
 
 
@@ -613,8 +613,8 @@ class TestSweep:
 def _reference_csv(table):
     # The row-by-row f-string writer that _sweep_csv replaced.
     lines = ["ratio1,ratio2,fidelity,leakage"]
-    for i, r1 in enumerate(table.axis1):
-        for j, r2 in enumerate(table.axis2):
+    for i, r1 in enumerate(table.axis):
+        for j, r2 in enumerate(table.axis):
             lines.append(
                 f"{r1:.12g},{r2:.12g},{table.fidelity[i, j]:.12g},"
                 f"{table.leakage[i, j]:.12g}"
@@ -625,10 +625,10 @@ def _reference_csv(table):
 def _one_pass_csv(table):
     # The one-pass writer that formatted every ratio at every grid point,
     # which _sweep_csv replaced.
-    n = len(table.axis1)
+    n = len(table.axis)
     columns = np.column_stack([
-        np.repeat(table.axis1, len(table.axis2)),
-        np.tile(table.axis2, n),
+        np.repeat(table.axis, n),
+        np.tile(table.axis, n),
         table.fidelity.ravel(),
         table.leakage.ravel(),
     ])
@@ -646,13 +646,12 @@ _leakages = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_
 
 @st.composite
 def _tables(draw):
-    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    axis1 = np.array(draw(st.lists(_ratios, min_size=n1, max_size=n1)))
-    axis2 = np.array(draw(st.lists(_ratios, min_size=n2, max_size=n2)))
-    fidelity = np.array(draw(st.lists(_fidelities, min_size=n1 * n2, max_size=n1 * n2)))
-    leakage = np.array(draw(st.lists(_leakages, min_size=n1 * n2, max_size=n1 * n2)))
-    return SweepTable(axis1=axis1, axis2=axis2, fidelity=fidelity.reshape(n1, n2),
-                      leakage=leakage.reshape(n1, n2))
+    n = draw(st.integers(1, 5))
+    axis = np.array(draw(st.lists(_ratios, min_size=n, max_size=n)))
+    fidelity = np.array(draw(st.lists(_fidelities, min_size=n * n, max_size=n * n)))
+    leakage = np.array(draw(st.lists(_leakages, min_size=n * n, max_size=n * n)))
+    return SweepTable(axis=axis, fidelity=fidelity.reshape(n, n),
+                      leakage=leakage.reshape(n, n))
 
 
 class TestSweepCsv:
@@ -671,7 +670,7 @@ class TestSweepCsv:
         argv = ["sweep", "--gate", "hadamard", "--min", "1", "--max", "100",
                 "--steps", "50", "--log"]
         assert run(argv + ["--out", str(out)]) == 0
-        spec = SweepSpec(gate_target="hadamard", ratio_min=1.0, ratio_max=100.0,
+        spec = SweepSpec(loop_target(gate="hadamard"), ratio_min=1.0, ratio_max=100.0,
                          steps_per_axis=50)
         assert out.read_text() == _one_pass_csv(run_sweep(spec))
 
@@ -679,11 +678,18 @@ class TestSweepCsv:
         out = tmp_path / "s.csv"
         argv = ["sweep", "--gate", "two-qubit", "--theta-tilde", "0.6", "--steps", "7"]
         assert run(argv + ["--out", str(out)]) == 0
-        spec = SweepSpec(gate_target="two_qubit", theta_tilde=0.6, steps_per_axis=7)
+        spec = SweepSpec(loop_target(gate="two_qubit", theta_tilde=0.6), steps_per_axis=7)
         assert out.read_text() == _reference_csv(run_sweep(spec))
 
 
 class TestSweepBoundary:
+    # The loop refuses a non-finite angle as out of its range, in sweep with
+    # the message that synth-1q and verify print for the same value.
+    _SAME_REFUSAL = {
+        "theta": ["synth-1q", "--theta", "inf", "--gamma", "1.0"],
+        "theta_tilde": ["verify", "--theta-tilde", "nan"],
+    }
+
     @pytest.mark.parametrize(
         "flags, field",
         [
@@ -707,7 +713,15 @@ class TestSweepBoundary:
         argv = flags if not flags[0].startswith("--") else (
             ["sweep", "--gate", "hadamard", "--steps", "2"] + flags)
         assert run(argv) == 2
-        assert f"{field} must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        twin = self._SAME_REFUSAL.get(field)
+        if twin is None:
+            assert f"{field} must be finite" in err
+        else:
+            assert run(twin) == 2
+            refusal = capsys.readouterr().err.removeprefix(f"holodfs {twin[0]}: ")
+            assert refusal.startswith(f"{field} must lie in ")
+            assert err.removeprefix("holodfs sweep: ") == refusal
 
     def test_log_axis_overflow_exits_2(self, capsys):
         # log10 of the largest float, raised to the power again, rounds past it.
@@ -778,7 +792,7 @@ class TestScaleOverflow:
         (["verify", "--theta-tilde", "0.6", "--omega-tilde", "1.7976931348623157e308"],
          "omega_tilde=1.79769e+308"),
         (["sweep", "--gate", "hadamard", "--omega", "1.7976931348623157e308", "--steps", "2"],
-         "DM strength"),
+         "omega=1.79769e+308"),
         (["sweep", "--gate", "hadamard", "--omega", "8e307", "--min", "0.5", "--max", "1",
           "--steps", "2"], "DM strength"),
     ])

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randmat import random_su2
+from randmat import dressed_canonical, random_su2
 from holodfs import entanglement as ent
 from holodfs.holonomy import analytic_gate_2q
 
@@ -13,6 +15,23 @@ CNOT = np.array(
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+# Vertices O, A1, A2, A3 of the Weyl chamber, and the CNOT point L.
+CHAMBER = np.array([[0.0, 0.0, 0.0], [math.pi, 0.0, 0.0],
+                    [math.pi / 2, math.pi / 2, 0.0], [math.pi / 2] * 3])
+L_POINT = (math.pi / 2, 0.0, 0.0)
+
+
+@st.composite
+def chamber_points(draw):
+    """A point of the chamber: a named vertex or L, or a convex combination of
+    one to four vertices, which lies on a vertex, an edge, a face or inside."""
+    if draw(st.booleans()):
+        return tuple(draw(st.sampled_from([*map(tuple, CHAMBER), L_POINT])))
+    support = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
+    weights = np.zeros(4)
+    weights[support] = [draw(st.floats(0.01, 1.0)) for _ in support]
+    return tuple(weights / weights.sum() @ CHAMBER)
 
 
 def dress(u, rng):
@@ -98,6 +117,19 @@ class TestWeylCoordinates:
             assert abs(gu[0] - gv[0]) + abs(gu[1] - gv[1]) < 1e-9
             cu, cv = ent.weyl_coordinates(u), ent.weyl_coordinates(v)
             assert max(abs(a - b) for a, b in zip(cu, cv)) < 1e-8
+
+    @settings(deadline=None, max_examples=300)
+    @given(point=chamber_points(), seed=st.integers(0, 2**32 - 1),
+           phase=st.floats(0.0, 2 * math.pi))
+    def test_round_trip_of_dressed_canonical_gates(self, point, seed, phase):
+        # A canonical gate between random local unitaries, times a global
+        # phase, lands on its own point; on the base (c3 = 0) also on its
+        # mirror (pi - c1, c2, 0), which is deliberately not folded.
+        u = np.exp(1j * phase) * dressed_canonical(*point, np.random.default_rng(seed))
+        c1, c2, c3 = point
+        allowed = [point] + ([(math.pi - c1, c2, c3)] if c3 == 0.0 else [])
+        found = ent.weyl_coordinates(u)
+        assert min(max(abs(a - b) for a, b in zip(found, p)) for p in allowed) <= 1e-7
 
 
 class TestEntanglingPower:

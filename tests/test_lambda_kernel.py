@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from holodfs import cli, noise, spin_model
-from holodfs.holonomy import GateParams2Q, params_for_rotation
+from holodfs.holonomy import GateParams2Q, loop_target, params_for_rotation
 from holodfs.spin_model import pauli_on
 
 EPS = float(np.finfo(float).eps)
@@ -65,7 +65,7 @@ def _with_extra_bond(monkeypatch):
 
 def test_coupling_across_blocks_is_refused(monkeypatch, capsys):
     _with_extra_bond(monkeypatch)
-    spec = noise.SweepSpec(gate_target="two_qubit", theta_tilde=0.6, steps_per_axis=3)
+    spec = noise.SweepSpec(loop_target(gate="two_qubit", theta_tilde=0.6), steps_per_axis=3)
     with pytest.raises(ValueError, match=r"not a lambda system: <0101\|H\|1001> is not zero"):
         noise.run_sweep(spec)
     argv = ["sweep", "--gate", "two-qubit", "--theta-tilde", "0.6", "--steps", "3"]
@@ -81,7 +81,7 @@ def test_energy_of_a_logical_level_is_refused(monkeypatch):
     field = 0.1 * pauli_on(3, 0, "z")
     monkeypatch.setattr(spin_model, "build_h1", lambda p: build_h1(p) + field)
     with pytest.raises(ValueError, match=r"not a lambda system: <001\|H\|001> is not zero"):
-        noise.run_sweep(noise.SweepSpec(gate_target="hadamard", steps_per_axis=2))
+        noise.run_sweep(noise.SweepSpec(loop_target(gate="hadamard"), steps_per_axis=2))
 
 
 def test_non_hermitian_term_is_refused(monkeypatch):
@@ -90,7 +90,7 @@ def test_non_hermitian_term_is_refused(monkeypatch):
     skew[int("001", 2), int("010", 2)] = 1e-6
     monkeypatch.setattr(spin_model, "build_h1", lambda p: build_h1(p) + skew)
     with pytest.raises(ValueError, match="sector Hamiltonian is not Hermitian"):
-        noise.run_sweep(noise.SweepSpec(gate_target="hadamard", steps_per_axis=2))
+        noise.run_sweep(noise.SweepSpec(loop_target(gate="hadamard"), steps_per_axis=2))
 
 
 def test_logical_level_without_excited_partner_is_refused():
@@ -117,7 +117,7 @@ def test_vanishing_coupling_leaves_the_logical_block_alone():
     # gamma = 2*pi puts the whole loop into the field term, and the DM
     # strengths omega/ratio underflow to 0 at ratio 1e300: c = 0 there, so
     # the logical block is the identity, which is also the ideal gate.
-    spec = noise.SweepSpec(gate_target="custom", theta=1.0, gamma=2 * np.pi, omega=1e-300,
+    spec = noise.SweepSpec(loop_target(gate="custom", theta=1.0, gamma=2 * np.pi, omega=1e-300),
                            ratio_min=1.0, ratio_max=1e300, steps_per_axis=3)
     table = noise.run_sweep(spec)
     assert np.all(np.isfinite(table.fidelity))
@@ -129,7 +129,7 @@ def _reference_fidelity(spec, i, j):
     # from a 40-digit matrix exponential of the double-precision inputs.
     g, ideal = spec.loop
     sector, logical, terms = _sector_terms(g)
-    strengths = spec.omega / noise.sweep_axes(spec)
+    strengths = g.omega / noise.sweep_axes(spec)
     d1, d2 = (mpmath.mpf(float(x)) for x in (strengths[i], strengths[j]))
     dim = len(sector.labels)
     index = [sector.labels.index(label) for label in logical.labels]
@@ -151,7 +151,7 @@ def _largest_phase(spec, i, j):
     # max |E| * tau of the sector Hamiltonian at grid point (i, j).
     g, _ = spec.loop
     _, _, (e0, e1, e2) = _sector_terms(g)
-    strengths = spec.omega / noise.sweep_axes(spec)
+    strengths = g.omega / noise.sweep_axes(spec)
     values = np.linalg.eigvalsh(e0 + strengths[i] * e1 + strengths[j] * e2)
     return float(np.max(np.abs(values))) * g.tau
 
@@ -161,14 +161,15 @@ def _sampled_points(spec, count, seed):
     return [tuple(p) for p in rng.integers(0, spec.steps_per_axis, (count, 2))]
 
 
-@pytest.mark.parametrize("target", [
-    {"gate_target": "hadamard"},
-    {"gate_target": "custom", "theta": 1.2, "gamma": 3.0, "m": 2, "log_scale": False},
-    {"gate_target": "two_qubit", "theta_tilde": 0.6},
-    {"gate_target": "two_qubit", "theta_tilde": 0.3, "m": 3, "log_scale": False},
+@pytest.mark.parametrize("target, log_scale", [
+    ({"gate": "hadamard"}, True),
+    ({"gate": "custom", "theta": 1.2, "gamma": 3.0, "m": 2}, False),
+    ({"gate": "two_qubit", "theta_tilde": 0.6}, True),
+    ({"gate": "two_qubit", "theta_tilde": 0.3, "m": 3}, False),
 ], ids=["hadamard", "custom2", "two_qubit1", "two_qubit3"])
-def test_fidelity_matches_forty_digit_expm(target):
-    spec = noise.SweepSpec(ratio_min=0.7, ratio_max=400.0, steps_per_axis=30, **target)
+def test_fidelity_matches_forty_digit_expm(target, log_scale):
+    spec = noise.SweepSpec(loop_target(**target), ratio_min=0.7, ratio_max=400.0,
+                           steps_per_axis=30, log_scale=log_scale)
     table = noise.run_sweep(spec)
     for i, j in _sampled_points(spec, 20, seed=5):
         error = mpmath.mpf(float(table.fidelity[i, j])) - _reference_fidelity(spec, i, j)
@@ -176,15 +177,15 @@ def test_fidelity_matches_forty_digit_expm(target):
 
 
 @pytest.mark.parametrize("target", [
-    {"gate_target": "hadamard"},
-    {"gate_target": "two_qubit", "theta_tilde": 0.6},
+    {"gate": "hadamard"},
+    {"gate": "two_qubit", "theta_tilde": 0.6},
 ], ids=["hadamard", "two_qubit"])
 @pytest.mark.parametrize("omega", [1e300, 1e-300])
 def test_fidelity_at_extreme_scales_matches_forty_digit_expm(target, omega):
     # Couplings near the ends of the float64 range: squaring one would
     # overflow or underflow.  The phase roundoff eps*|E|*tau is ~1e-11 here.
-    spec = noise.SweepSpec(ratio_min=1e-5, ratio_max=100.0, steps_per_axis=12,
-                           omega=omega, **target)
+    spec = noise.SweepSpec(loop_target(omega=omega, **target), ratio_min=1e-5,
+                           ratio_max=100.0, steps_per_axis=12)
     table = noise.run_sweep(spec)
     assert np.all(np.isfinite(table.fidelity))
     for i, j in _sampled_points(spec, 8, seed=9) + [(0, 0)]:

@@ -28,9 +28,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from randmat import random_su2, random_unitary
+from randmat import dressed_canonical, random_unitary
 from holodfs import entanglement as ent
-from holodfs.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 REL_TOL = 1e-12
 # The reference forms 1 - tr(rho_1^2) with tr(rho_1^2) near 1 for weakly
@@ -71,16 +70,6 @@ def reference_entangling_power_mc(u, samples, seed):
     purity = np.einsum("nik,nik->n", rho1, rho1.conj()).real
     entropy = 1.0 - purity
     return float(entropy.mean()), float(entropy.std(ddof=1) / math.sqrt(samples))
-
-
-def dressed_canonical(c1, c2, c3, rng):
-    """exp(i(c1 XX + c2 YY + c3 ZZ)/2) between random local SU(2) factors."""
-    h = sum(c * np.kron(p, p) for c, p in zip((c1, c2, c3), (SIGMA_X, SIGMA_Y, SIGMA_Z)))
-    values, vectors = np.linalg.eigh(h)
-    canonical = (vectors * np.exp(0.5j * values)) @ vectors.conj().T
-    left = np.kron(random_su2(rng), random_su2(rng))
-    right = np.kron(random_su2(rng), random_su2(rng))
-    return left @ canonical @ right
 
 
 def _assert_close(value, reference):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randmat import random_unitary
 from holodfs import entanglement, holonomy, noise
 from holodfs.holonomy import GateParams2Q, analytic_gate_1q, loop_target, params_for_rotation
 
@@ -40,6 +41,17 @@ class TestGateFidelity:
         blocks[1, 0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             noise.gate_fidelity(np.eye(2), blocks)
+
+    @settings(deadline=None, max_examples=200)
+    @given(k=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+           singular=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    def test_contractions_score_in_the_unit_interval(self, k, seed, singular):
+        # U = W diag(s) V with W, V Haar and singular values s in [0, 1]:
+        # every contraction, unitaries (all s = 1) and zero blocks included.
+        rng = np.random.default_rng(seed)
+        ideal = random_unitary(rng, k)
+        block = random_unitary(rng, k) * singular[:k] @ random_unitary(rng, k)
+        assert 0.0 <= noise.gate_fidelity(ideal, block) <= 1.0 + 1e-12
 
 
 class TestPerturbedGate1Q:
@@ -114,21 +126,24 @@ class TestScaling:
 class TestSweepSpec:
     def test_requires_two_steps(self):
         with pytest.raises(ValueError, match="steps_per_axis"):
-            noise.SweepSpec(gate_target="hadamard", steps_per_axis=1)
+            noise.SweepSpec(loop_target(gate="hadamard"), steps_per_axis=1)
 
     def test_requires_positive_ratios(self):
+        loop = loop_target(gate="hadamard")
         with pytest.raises(ValueError, match="ratio_min"):
-            noise.SweepSpec(gate_target="hadamard", ratio_min=0.0)
+            noise.SweepSpec(loop, ratio_min=0.0)
         with pytest.raises(ValueError, match="exceeds"):
-            noise.SweepSpec(gate_target="hadamard", ratio_min=10.0, ratio_max=1.0)
+            noise.SweepSpec(loop, ratio_min=10.0, ratio_max=1.0)
 
+    # A spec's loop comes from loop_target, which refuses a bad target before
+    # any grid is specified.
     def test_requires_target_parameters(self):
         with pytest.raises(ValueError, match="theta"):
-            noise.SweepSpec(gate_target="custom")
+            loop_target(gate="custom")
         with pytest.raises(ValueError, match="theta_tilde"):
-            noise.SweepSpec(gate_target="two_qubit")
+            loop_target(gate="two_qubit")
         with pytest.raises(ValueError, match="unknown"):
-            noise.SweepSpec(gate_target="cz")
+            loop_target(gate="cz")
 
     @pytest.mark.parametrize("target, extra, name", [
         ("hadamard", {"theta": 1.0}, "theta"),
@@ -139,31 +154,43 @@ class TestSweepSpec:
     ])
     def test_rejects_parameters_of_another_target(self, target, extra, name):
         with pytest.raises(ValueError, match=f"^{name} applies only to"):
-            noise.SweepSpec(gate_target=target, **extra)
-
+            loop_target(gate=target, **extra)
 
     @pytest.mark.parametrize("target, extra, message", [
         ("hadamard", {"m": 0}, "winding m must be a positive integer"),
         ("pi8", {"omega": -1.0}, "omega must be finite and positive"),
         ("pi8", {"omega": -1.7e308}, "omega must be finite and positive"),
-        ("pi8", {"omega": -1.0, "ratio_min": 1e-310}, "omega must be finite and positive"),
+        ("pi8", {"omega": math.nan}, "omega must be finite and positive"),
         ("hadamard", {"m": 2.0}, "winding m must be a positive integer, got 2.0"),
     ])
     def test_refuses_a_bad_loop_when_built(self, target, extra, message):
         with pytest.raises(ValueError, match=message):
-            noise.SweepSpec(gate_target=target, **extra)
+            loop_target(gate=target, **extra)
 
-    @pytest.mark.parametrize("omega, ratio_min", [(1.7976931348623157e308, 1.0), (8e307, 0.5)])
+    @pytest.mark.parametrize("omega, ratio_min", [(8.9e307, 1.0), (8e307, 0.5)])
     def test_refuses_sector_energies_that_overflow(self, omega, ratio_min):
         # omega + omega/ratio_min bounds the grid's largest DM strength and
-        # loop energy; four times it must stay finite.
+        # loop energy; four times it must stay finite, also for a loop whose
+        # own energies (2*omega) are finite.
+        loop = loop_target(gate="hadamard", omega=omega)
         with pytest.raises(ValueError, match="^DM strength omega/ratio_min = .* overflows$"):
-            noise.SweepSpec(gate_target="hadamard", omega=omega, ratio_min=ratio_min,
-                            ratio_max=max(ratio_min, 1.0))
+            noise.SweepSpec(loop, ratio_min=ratio_min, ratio_max=max(ratio_min, 1.0))
+
+    def test_the_loop_refuses_an_omega_whose_double_overflows(self):
+        # Refused before any grid: no spec is built from such a loop.
+        with pytest.raises(ValueError, match=r"^omega=1\.79769e\+308 overflows the loop "
+                                             r"Hamiltonian \(2\*omega\)$"):
+            loop_target(gate="hadamard", omega=1.7976931348623157e308)
+
+    def test_compares_and_hashes_by_identity(self):
+        # The loop holds an array, whose == is elementwise.
+        loop = loop_target(gate="hadamard")
+        spec = noise.SweepSpec(loop)
+        assert spec == spec and spec != noise.SweepSpec(loop)
+        assert {spec: 1}[spec] == 1
 
 
-# Loop parameters that loop_target and SweepSpec take, with the target each
-# one belongs to.
+# Loop parameters that loop_target takes, with the target each one belongs to.
 _PARAM_TARGETS = {"theta": "custom", "gamma": "custom", "theta_tilde": "two_qubit"}
 
 
@@ -173,8 +200,7 @@ class TestLoopTargetGrammar:
            names=st.sets(st.sampled_from(sorted(_PARAM_TARGETS))),
            theta=st.floats(0.0, math.pi), fraction=st.floats(0.0, 1.0),
            theta_tilde=st.floats(0.01, 1.5))
-    def test_one_grammar_for_loop_target_and_sweep_spec(self, gate, names, theta, fraction,
-                                                        theta_tilde):
+    def test_one_grammar_for_loop_target(self, gate, names, theta, fraction, theta_tilde):
         values = {"theta": theta, "gamma": 2 * math.pi * fraction, "theta_tilde": theta_tilde}
         params = {name: values[name] for name in names}
         if gate is None:
@@ -183,32 +209,26 @@ class TestLoopTargetGrammar:
             resolved = gate
         takes = {name for name, target in _PARAM_TARGETS.items() if target == resolved}
         valid = resolved in (*noise.GATE_PRESETS, "custom", "two_qubit") and names == takes
-        try:
-            g, ideal = loop_target(gate=gate, **params)
-        except ValueError as exc:
-            assert not valid
-            with pytest.raises(ValueError) as refused:
-                noise.SweepSpec(gate_target=gate, steps_per_axis=2, **params)
-            assert str(refused.value) == str(exc)
+        if not valid:
+            with pytest.raises(ValueError):
+                loop_target(gate=gate, **params)
             return
-        assert valid
+        g, ideal = loop_target(gate=gate, **params)
         # Every given angle went into the loop: no preset replaced it.
         if resolved == "two_qubit":
             assert g.theta_tilde == theta_tilde
         elif resolved == "custom":
             assert g.theta == theta
             assert np.array_equal(ideal, analytic_gate_1q(theta, values["gamma"]))
-        spec = noise.SweepSpec(gate_target=gate, steps_per_axis=2, **params)
-        assert spec.loop[0] == g and np.array_equal(spec.loop[1], ideal)
 
     def test_run_sweep_resolves_no_loop(self, monkeypatch):
-        spec = noise.SweepSpec(gate_target="two_qubit", theta_tilde=0.6, steps_per_axis=3)
+        spec = noise.SweepSpec(loop_target(gate="two_qubit", theta_tilde=0.6), steps_per_axis=3)
 
         def refuse(*args, **kwargs):
             raise AssertionError("run_sweep resolved the loop again")
 
         monkeypatch.setattr(holonomy, "loop_target", refuse)
-        monkeypatch.setattr(noise, "loop_target", refuse)
+        assert not hasattr(noise, "loop_target")
         assert noise.run_sweep(spec).fidelity.shape == (3, 3)
 
 
@@ -223,7 +243,7 @@ class TestLoopTargetGrammar:
         steps=100.5), "steps must be an integer, got 100.5"),
     (lambda: entanglement.entangling_power_mc(np.eye(4), 1000.5, 0),
      "Monte-Carlo samples must be an integer, got 1000.5"),
-    (lambda: noise.SweepSpec(gate_target="hadamard", steps_per_axis=2.5),
+    (lambda: noise.SweepSpec(loop_target(gate="hadamard"), steps_per_axis=2.5),
      "steps_per_axis must be an integer, got 2.5"),
 ], ids=["evolve_and_project", "perturbed_gate_1q", "discretized_holonomy",
         "entangling_power_mc", "SweepSpec"])
@@ -235,7 +255,7 @@ def test_non_integer_count_is_refused_by_name(call, message):
 class TestRunSweep:
     def test_hadamard_corner_monotonicity(self):
         spec = noise.SweepSpec(
-            gate_target="hadamard", ratio_min=10, ratio_max=100, steps_per_axis=2
+            loop_target(gate="hadamard"), ratio_min=10, ratio_max=100, steps_per_axis=2
         )
         table = noise.run_sweep(spec)
         assert table.fidelity.shape == (2, 2)
@@ -244,7 +264,7 @@ class TestRunSweep:
 
     def test_pi8_fidelities_in_unit_interval(self):
         spec = noise.SweepSpec(
-            gate_target="pi8", ratio_min=10, ratio_max=100, steps_per_axis=2
+            loop_target(gate="pi8"), ratio_min=10, ratio_max=100, steps_per_axis=2
         )
         table = noise.run_sweep(spec)
         assert np.all(table.fidelity > 0.0)
@@ -252,14 +272,14 @@ class TestRunSweep:
 
     def test_two_qubit_sector_leakage_vanishes(self):
         spec = noise.SweepSpec(
-            gate_target="two_qubit", theta_tilde=math.pi / 4, steps_per_axis=2
+            loop_target(gate="two_qubit", theta_tilde=math.pi / 4), steps_per_axis=2
         )
         table = noise.run_sweep(spec)
         assert np.all(table.leakage <= 1e-12)
 
     def test_deterministic(self):
         spec = noise.SweepSpec(
-            gate_target="hadamard", ratio_min=5, ratio_max=50, steps_per_axis=3
+            loop_target(gate="hadamard"), ratio_min=5, ratio_max=50, steps_per_axis=3
         )
         first = noise.run_sweep(spec)
         second = noise.run_sweep(spec)
@@ -268,11 +288,11 @@ class TestRunSweep:
 
     def test_axis_spacing(self):
         log_spec = noise.SweepSpec(
-            gate_target="hadamard", ratio_min=1, ratio_max=100, steps_per_axis=3
+            loop_target(gate="hadamard"), ratio_min=1, ratio_max=100, steps_per_axis=3
         )
         assert np.allclose(noise.sweep_axes(log_spec), [1, 10, 100])
         lin_spec = noise.SweepSpec(
-            gate_target="hadamard",
+            loop_target(gate="hadamard"),
             ratio_min=1,
             ratio_max=100,
             steps_per_axis=3,
@@ -282,9 +302,7 @@ class TestRunSweep:
 
     def test_custom_target(self):
         spec = noise.SweepSpec(
-            gate_target="custom",
-            theta=1.0,
-            gamma=2.0,
+            loop_target(gate="custom", theta=1.0, gamma=2.0),
             ratio_min=20,
             ratio_max=50,
             steps_per_axis=2,

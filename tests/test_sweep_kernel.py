@@ -22,6 +22,7 @@ from holodfs.holonomy import (
     GateParams1Q,
     GateParams2Q,
     analytic_gate_1q,
+    loop_target,
     params_for_rotation,
     require_phase_precision,
 )
@@ -35,13 +36,13 @@ ratios = st.floats(min_value=0.5, max_value=300.0)
 
 
 def _two_point_spec(r1, r2, **target):
-    return noise.SweepSpec(ratio_min=min(r1, r2), ratio_max=max(r1, r2),
-                           steps_per_axis=2, log_scale=False, **target)
+    return noise.SweepSpec(loop_target(**target), ratio_min=min(r1, r2),
+                           ratio_max=max(r1, r2), steps_per_axis=2, log_scale=False)
 
 
 def _assert_matches_oracle(table, evaluate):
-    for i, r1 in enumerate(table.axis1):
-        for j, r2 in enumerate(table.axis2):
+    for i, r1 in enumerate(table.axis):
+        for j, r2 in enumerate(table.axis):
             report = evaluate(r1, r2)
             assert abs(table.fidelity[i, j] - report.fidelity) <= FIDELITY_TOL
             assert report.sector_leakage <= table.leakage[i, j] + LEAKAGE_TOL
@@ -54,7 +55,7 @@ def test_single_qubit_kernel_matches_full_space(theta, fraction, m, r1, r2):
     gamma = fraction * 2.0 * m * math.pi
     params = params_for_rotation(theta, gamma, m=m)
     table = noise.run_sweep(
-        _two_point_spec(r1, r2, gate_target="custom", theta=theta, gamma=gamma, m=m)
+        _two_point_spec(r1, r2, gate="custom", theta=theta, gamma=gamma, m=m)
     )
     _assert_matches_oracle(
         table, lambda a, b: noise.perturbed_gate_1q(params, a, b, samples=2)
@@ -67,7 +68,7 @@ def test_single_qubit_kernel_matches_full_space(theta, fraction, m, r1, r2):
 def test_two_qubit_kernel_matches_full_space(theta_tilde, m, r1, r2):
     params = GateParams2Q(theta_tilde=theta_tilde, m_tilde=m)
     table = noise.run_sweep(
-        _two_point_spec(r1, r2, gate_target="two_qubit", theta_tilde=theta_tilde, m=m)
+        _two_point_spec(r1, r2, gate="two_qubit", theta_tilde=theta_tilde, m=m)
     )
     _assert_matches_oracle(
         table, lambda a, b: noise.perturbed_gate_2q(params, a, b, samples=2)
@@ -77,7 +78,8 @@ def test_two_qubit_kernel_matches_full_space(theta_tilde, m, r1, r2):
 @pytest.mark.parametrize("gate", sorted(noise.GATE_PRESETS))
 def test_preset_log_grid_matches_full_space(gate):
     table = noise.run_sweep(
-        noise.SweepSpec(gate_target=gate, ratio_min=1.0, ratio_max=100.0, steps_per_axis=6)
+        noise.SweepSpec(loop_target(gate=gate), ratio_min=1.0, ratio_max=100.0,
+                        steps_per_axis=6)
     )
     params = params_for_rotation(*noise.GATE_PRESETS[gate])
     _assert_matches_oracle(
@@ -98,13 +100,13 @@ def test_leakage_bound_measures_the_generators(monkeypatch):
 
     monkeypatch.setattr(spin_model, "build_h1", with_field)
     table = noise.run_sweep(
-        noise.SweepSpec(gate_target="hadamard", ratio_min=2.0, ratio_max=50.0,
+        noise.SweepSpec(loop_target(gate="hadamard"), ratio_min=2.0, ratio_max=50.0,
                         steps_per_axis=3)
     )
     assert np.all(table.leakage > 0.0)
     params = params_for_rotation(*noise.GATE_PRESETS["hadamard"])
-    for i, r1 in enumerate(table.axis1):
-        for j, r2 in enumerate(table.axis2):
+    for i, r1 in enumerate(table.axis):
+        for j, r2 in enumerate(table.axis):
             full = noise.perturbed_gate_1q(params, r1, r2, samples=2).sector_leakage
             assert 0.0 < full <= table.leakage[i, j] + LEAKAGE_TOL
 
@@ -123,8 +125,8 @@ def test_stacked_gate_fidelity_matches_single_blocks():
 def test_spec_rejects_grid_over_cap():
     steps = math.isqrt(noise.MAX_SWEEP_POINTS) + 1
     with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
-        noise.SweepSpec(gate_target="hadamard", steps_per_axis=steps)
-    noise.SweepSpec(gate_target="hadamard", steps_per_axis=steps - 1)
+        noise.SweepSpec(loop_target(gate="hadamard"), steps_per_axis=steps)
+    noise.SweepSpec(loop_target(gate="hadamard"), steps_per_axis=steps - 1)
 
 
 def _row_by_row(spec):
@@ -136,7 +138,7 @@ def _row_by_row(spec):
     (e0, e1, e2), (r0, r1, r2) = zip(*(spin_model.restrict(t, sector) for t in g.terms()))
     logical = [sector.labels.index(label) for label in logical_frame.labels]
     tau = g.tau
-    strengths = spec.omega / axis
+    strengths = g.omega / axis
     n = len(axis)
     fidelity = np.empty((n, n))
     leakage = np.empty((n, n))
@@ -159,10 +161,10 @@ def _assert_equals_row_by_row(spec):
 
 
 _TARGETS = [
-    {"gate_target": "hadamard"},
-    {"gate_target": "custom", "theta": 1.2, "gamma": 3.0, "m": 2},
-    {"gate_target": "two_qubit", "theta_tilde": 0.6},
-    {"gate_target": "two_qubit", "theta_tilde": 0.3, "m": 3},
+    {"gate": "hadamard"},
+    {"gate": "custom", "theta": 1.2, "gamma": 3.0, "m": 2},
+    {"gate": "two_qubit", "theta_tilde": 0.6},
+    {"gate": "two_qubit", "theta_tilde": 0.3, "m": 3},
 ]
 
 
@@ -170,10 +172,11 @@ _TARGETS = [
 # at 32, then 2, 3 and 5 chunks with a short last one.
 @pytest.mark.parametrize("steps", [2, 31, 32, 33, 45, 70])
 @pytest.mark.parametrize("log_scale", [True, False])
-@pytest.mark.parametrize("target", _TARGETS, ids=lambda t: t["gate_target"] + str(t.get("m", 1)))
+@pytest.mark.parametrize("target", _TARGETS, ids=lambda t: t["gate"] + str(t.get("m", 1)))
 def test_chunks_equal_row_by_row_at_fixed_steps(steps, log_scale, target):
     _assert_equals_row_by_row(noise.SweepSpec(
-        ratio_min=0.7, ratio_max=400.0, steps_per_axis=steps, log_scale=log_scale, **target))
+        loop_target(**target), ratio_min=0.7, ratio_max=400.0, steps_per_axis=steps,
+        log_scale=log_scale))
 
 
 @settings(deadline=None, max_examples=40)
@@ -183,8 +186,8 @@ def test_chunks_equal_row_by_row_at_fixed_steps(steps, log_scale, target):
 def test_chunks_equal_row_by_row(target, steps, log_scale, chunk, lo, span):
     # Small caps put grids below, at and across the cap, down to one row per
     # stack when a row alone is longer than the cap.
-    spec = noise.SweepSpec(ratio_min=lo, ratio_max=lo * span, steps_per_axis=steps,
-                           log_scale=log_scale, **target)
+    spec = noise.SweepSpec(loop_target(**target), ratio_min=lo, ratio_max=lo * span,
+                           steps_per_axis=steps, log_scale=log_scale)
     with mock.patch.object(noise, "SWEEP_CHUNK_POINTS", chunk):
         _assert_equals_row_by_row(spec)
 
@@ -207,16 +210,16 @@ def test_nonzero_leakage_bound_equals_row_by_row(steps, monkeypatch):
     monkeypatch.setattr(spin_model, "build_h1", lambda p: build_h1(p) + field)
     monkeypatch.setattr(spin_model, "dm_bonds", lambda n: bonds)
     _cold_set_up(monkeypatch)
-    g, _ = noise.SweepSpec(gate_target="hadamard").loop
+    g, _ = loop_target(gate="hadamard")
     sector, _ = g.frames()
     assert all(spin_model.restrict(term, sector)[1] > 0.0 for term in g.terms())
-    spec = noise.SweepSpec(gate_target="hadamard", ratio_min=2.0, ratio_max=50.0,
+    spec = noise.SweepSpec(loop_target(gate="hadamard"), ratio_min=2.0, ratio_max=50.0,
                            steps_per_axis=steps)
     assert np.all(noise.run_sweep(spec).leakage > 0.0)
     _assert_equals_row_by_row(spec)
 
 
-@pytest.mark.parametrize("target", _TARGETS[::2], ids=lambda t: t["gate_target"])
+@pytest.mark.parametrize("target", _TARGETS[::2], ids=lambda t: t["gate"])
 def test_sweep_makes_no_eigh_or_svd_calls(target, monkeypatch):
     # The closed form replaces the stacked eigh and the SVD norm guard of
     # gate_fidelity, on a grid of three chunks.
@@ -233,12 +236,12 @@ def test_sweep_makes_no_eigh_or_svd_calls(target, monkeypatch):
     for name in ("eigh", "eigvalsh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(linalg, "eigh", counting("linalg.eigh", linalg.eigh))
-    noise.run_sweep(noise.SweepSpec(steps_per_axis=50, **target))
+    noise.run_sweep(noise.SweepSpec(loop_target(**target), steps_per_axis=50))
     assert calls == []
 
 
 def test_phase_roundoff_names_the_row_of_the_reference():
-    spec = noise.SweepSpec(gate_target="hadamard", ratio_min=1e-300, steps_per_axis=40)
+    spec = noise.SweepSpec(loop_target(gate="hadamard"), ratio_min=1e-300, steps_per_axis=40)
     with pytest.raises(ValueError) as reference:
         _row_by_row(spec)
     with pytest.raises(ValueError) as chunked:
@@ -250,10 +253,10 @@ def test_phase_roundoff_names_the_row_of_the_reference():
 def test_phase_roundoff_names_the_first_offending_row_in_a_later_chunk(monkeypatch):
     # Huge detunings in one chosen row only: run_sweep must name that row
     # inside its chunk (45 steps give chunks of 22 rows).
-    spec = noise.SweepSpec(gate_target="pi8", steps_per_axis=45)
+    spec = noise.SweepSpec(loop_target(gate="pi8"), steps_per_axis=45)
     axis = noise.sweep_axes(spec)
     bad_row = 30
-    marker = spec.omega / axis[bad_row]
+    marker = spec.loop[0].omega / axis[bad_row]
     points = noise._lambda_points
 
     def detuned(blocks, d1, d2):
@@ -271,10 +274,10 @@ def test_phase_roundoff_names_the_first_offending_row_in_a_later_chunk(monkeypat
 def test_phase_roundoff_names_the_row_with_the_largest_phase(monkeypatch):
     # Two offending rows in one chunk (45 steps give chunks of 22 rows), the
     # later one with the larger detuning: the refusal names the later row.
-    spec = noise.SweepSpec(gate_target="pi8", steps_per_axis=45)
+    spec = noise.SweepSpec(loop_target(gate="pi8"), steps_per_axis=45)
     axis = noise.sweep_axes(spec)
     detunings = {25: 1e300, 30: 1e301}
-    strengths = {spec.omega / axis[row]: value for row, value in detunings.items()}
+    strengths = {spec.loop[0].omega / axis[row]: value for row, value in detunings.items()}
     points = noise._lambda_points
 
     def detuned(blocks, d1, d2):
@@ -292,7 +295,7 @@ def test_phase_roundoff_names_the_row_with_the_largest_phase(monkeypatch):
 
 
 def test_two_hundred_step_two_qubit_sweep_stays_small():
-    spec = noise.SweepSpec(gate_target="two_qubit", theta_tilde=0.6, steps_per_axis=200)
+    spec = noise.SweepSpec(loop_target(gate="two_qubit", theta_tilde=0.6), steps_per_axis=200)
     tracemalloc.start()
     try:
         noise.run_sweep(spec)
@@ -305,10 +308,9 @@ def test_two_hundred_step_two_qubit_sweep_stays_small():
 # The unit DM bonds G1, G2 and the lambda split depend only on the loop
 # type, so run_sweep sets them up once per type and process.
 _TYPE_PAIRS = [
-    ({"gate_target": "hadamard"}, {"gate_target": "custom", "theta": 1.2, "gamma": 3.0,
-                                   "m": 2}),
-    ({"gate_target": "two_qubit", "theta_tilde": 0.6},
-     {"gate_target": "two_qubit", "theta_tilde": 0.3, "m": 3}),
+    ({"gate": "hadamard"}, {"gate": "custom", "theta": 1.2, "gamma": 3.0, "m": 2}),
+    ({"gate": "two_qubit", "theta_tilde": 0.6},
+     {"gate": "two_qubit", "theta_tilde": 0.3, "m": 3}),
 ]
 
 
@@ -323,10 +325,10 @@ def test_bonds_are_restricted_once_per_loop_type(first, second, monkeypatch):
 
     _cold_set_up(monkeypatch)
     monkeypatch.setattr(noise, "restrict", counting)
-    noise.run_sweep(noise.SweepSpec(steps_per_axis=2, **first))
+    noise.run_sweep(noise.SweepSpec(loop_target(**first), steps_per_axis=2))
     assert len(calls) == 3
     calls.clear()
-    noise.run_sweep(noise.SweepSpec(steps_per_axis=2, **second))
+    noise.run_sweep(noise.SweepSpec(loop_target(**second), steps_per_axis=2))
     assert len(calls) == 1
 
 
@@ -335,7 +337,7 @@ def test_a_replaced_builder_leaves_the_set_up_alone(monkeypatch):
     # transverse field to every term; the next one, without it, must give the
     # grid of a cold start.
     _cold_set_up(monkeypatch)
-    spec = noise.SweepSpec(gate_target="hadamard", ratio_min=2.0, ratio_max=50.0,
+    spec = noise.SweepSpec(loop_target(gate="hadamard"), ratio_min=2.0, ratio_max=50.0,
                            steps_per_axis=3)
     build_h1 = spin_model.build_h1
     field = 1e-3 * pauli_on(3, 0, "x")
@@ -352,7 +354,7 @@ def test_a_replaced_builder_leaves_the_set_up_alone(monkeypatch):
 def test_kept_bonds_and_lambda_splits_are_read_only(monkeypatch):
     _cold_set_up(monkeypatch)
     for target, _ in _TYPE_PAIRS:
-        noise.run_sweep(noise.SweepSpec(steps_per_axis=2, **target))
+        noise.run_sweep(noise.SweepSpec(loop_target(**target), steps_per_axis=2))
     assert noise._loop_setup.cache_info().currsize == 2
     arrays = [*spin_model.dm_bonds(3), *spin_model.dm_bonds(4)]
     for loop in (GateParams1Q, GateParams2Q):
@@ -364,10 +366,10 @@ def test_kept_bonds_and_lambda_splits_are_read_only(monkeypatch):
 
 
 _loop_targets = st.one_of(
-    st.builds(lambda theta, fraction, m: {"gate_target": "custom", "theta": theta,
+    st.builds(lambda theta, fraction, m: {"gate": "custom", "theta": theta,
                                           "gamma": fraction * 2.0 * m * math.pi, "m": m},
               st.floats(0.0, math.pi), st.floats(0.0, 1.0), st.sampled_from([1, 2])),
-    st.builds(lambda theta_tilde, m: {"gate_target": "two_qubit",
+    st.builds(lambda theta_tilde, m: {"gate": "two_qubit",
                                       "theta_tilde": theta_tilde, "m": m},
               st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
               st.sampled_from([1, 3])),
