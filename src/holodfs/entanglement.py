@@ -53,20 +53,29 @@ CNOT_TOL = 1e-6
 
 # Largest Monte-Carlo sample count: the entropy vector takes 8 bytes per
 # sample, so the cap bounds it at 80 MB.  The standard error is taken in
-# place in that vector and the draws live only per block, so the estimator
-# needs no second samples-sized array.
+# place in that vector and the draws live only per block (about 0.6 MB of
+# draws and temporaries per worker), so the estimator needs no second
+# samples-sized array.
 MAX_MC_SAMPLES = 10_000_000
 # Monte-Carlo samples of an entangling-power estimate unless a caller sets them.
 MC_SAMPLES = 100_000
 # Samples per block of the Monte-Carlo kernel, each with its own random
-# stream: a block's uniform draws are 0.34 MB, its 16,384 disk points
-# 0.25 MB and each per-sample complex temporary 128 kB, so a block's working
-# set stays in cache.
+# stream: a block's uniform draws are 0.18 MB, its 8192 disk points 0.13 MB
+# and each per-sample real temporary 64 kB, so a block's working set stays
+# in cache.
 _MC_CHUNK = 8192
+# Float64 resolution of an entangling power: a few ulps of EP_MAX.  The
+# reported standard error of an estimate is never below it, since a gate
+# whose sampled entropies are all equal (a local gate, SWAP, the Weyl points
+# (c1, pi/4, pi/4)) has an exact value that carries this much roundoff.
+EP_RESOLUTION = 4 * EP_MAX * math.ulp(1.0)
 # det m = (1/2) psi^T _OMEGA psi for the amplitudes psi of a two-qubit state.
 _OMEGA = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
 # Sums the (p, q) entries of a 2x2 coefficient array by monomial a_p a_q.
 _MONOMIALS = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
+# Twice the Haar moments E|b0^2|^2, E|b0 b1|^2, E|b1^2|^2 of a qubit b; the
+# cross moments of (b0^2, b0 b1, b1^2) vanish by the phase symmetry of b1.
+_HAAR_MOMENTS = np.diag([2 / 3, 1 / 3, 2 / 3])
 
 
 @dataclass(frozen=True)
@@ -206,21 +215,36 @@ def _mc_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _det_coefficients(u: np.ndarray) -> list[list[complex]]:
+def _det_coefficients(u: np.ndarray) -> np.ndarray:
     # det psi = psi_0 psi_3 - psi_1 psi_2 = (1/2) x^T K x for psi = u x and
     # K = u^T Omega u.  With x = a (x) b, grouping the terms of x^T K x by
     # the monomials m_a = (a0^2, a0 a1, a1^2) and m_b = (b0^2, b0 b1, b1^2)
     # gives det psi = m_a^T C m_b with the 3x3 matrix C returned here.
     k = (u.T @ _OMEGA @ u).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    return (0.5 * _MONOMIALS @ k @ _MONOMIALS.T).tolist()
+    return 0.5 * _MONOMIALS @ k @ _MONOMIALS.T
+
+
+def _entropy_coefficients(u: np.ndarray) -> list[float]:
+    # The mean of 2 |m_a^T C m_b|^2 over a Haar qubit b is m_a^dag F m_a
+    # with F = conj(C) diag(2/3, 1/3, 2/3) C^T.  For a = (s, z), z = x + iy,
+    # t = |z|^2, r = 1 - t and s = sqrt(r), m_a = (r, s z, z^2) and
+    #   m_a^dag F m_a = f0 + t (f1 + t f2) + s ((p0 + p1 t) x + (q0 + q1 t) y)
+    #                   + r (g (x^2 - y^2) + h x y),
+    # whose real coefficients are returned in that order.
+    c = _det_coefficients(u)
+    f = c.conj() @ _HAAR_MOMENTS @ c.T
+    f00, f11, f22 = f.diagonal().real
+    lin0, lin1, quad = 2 * f[0, 1], 2 * (f[1, 2] - f[0, 1]), 2 * f[0, 2]
+    return [f00, f11 - 2 * f00, f00 - f11 + f22, lin0.real, lin1.real,
+            -lin0.imag, -lin1.imag, quad.real, -2 * quad.imag]
 
 
 def _disk_points(rng: np.random.Generator, count: int) -> np.ndarray:
     # count complex points uniform in the open unit disk, by rejection from
     # the square [-1, 1)^2 (acceptance pi/4).  Each round draws 4/3 of the
-    # shortfall plus 64 candidates, so a block's 16,384 points need a second
-    # round only on a 13-sigma shortfall; the result depends only on the
-    # stream.
+    # shortfall plus 64 candidates, so a block's 8192 points need a second
+    # round only on a 10-sigma shortfall.  The result depends only on the
+    # stream, and the first n points of a larger count are the n points.
     rounds = []
     shortfall = count
     while shortfall:
@@ -230,27 +254,42 @@ def _disk_points(rng: np.random.Generator, count: int) -> np.ndarray:
     return rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
 
 
-def _mc_block(c: list[list[complex]], rng: np.random.Generator, out: np.ndarray) -> None:
-    # Linear entropies of len(out) product inputs drawn from rng, written to
-    # out.  Of 2 len(out) disk points z, the first half are the a inputs and
-    # the second half the b inputs; each is the normalised qubit
-    # (sqrt(1 - |z|^2), z), Haar up to a global phase, with the monomials
-    # (1 - |z|^2, sqrt(1 - |z|^2) z, z^2).  Elementwise ufuncs only: they
-    # release the GIL and call no BLAS.
-    n = len(out)
-    z = _disk_points(rng, 2 * n)
-    r = 1.0 - (z.real * z.real + z.imag * z.imag)
-    monomials = (r, np.sqrt(r) * z, z * z)
-    m_a = [m[:n] for m in monomials]
-    m_b = [m[n:] for m in monomials]
-    det = np.zeros(n, dtype=complex)
-    for m, row in zip(m_a, c):
-        w = row[0] * m_b[0]
-        w += row[1] * m_b[1]
-        w += row[2] * m_b[2]
-        w *= m
-        det += w
-    np.multiply(det.real * det.real + det.imag * det.imag, 2.0, out=out)
+def _mc_block(coefficients: list[float], rng: np.random.Generator, out: np.ndarray) -> None:
+    # Conditional linear entropies of len(out) inputs a drawn from rng,
+    # written to out: each is the mean over a Haar b, the polynomial of
+    # _entropy_coefficients at one disk point z.  Elementwise real ufuncs
+    # only: they release the GIL and call no BLAS.
+    f0, f1, f2, p0, p1, q0, q1, g, h = coefficients
+    z = _disk_points(rng, len(out))
+    x, y = z.real, z.imag
+    xx = x * x
+    yy = y * y
+    t = xx + yy
+    r = 1.0 - t
+    s = np.sqrt(r)
+    # r (g (x^2 - y^2) + h x y)
+    xx -= yy
+    xx *= g
+    yy = x * y
+    yy *= h
+    xx += yy
+    xx *= r
+    # s ((p0 + p1 t) x + (q0 + q1 t) y)
+    lin = t * p1
+    lin += p0
+    lin *= x
+    lin_y = t * q1
+    lin_y += q0
+    lin_y *= y
+    lin += lin_y
+    lin *= s
+    # f0 + t (f1 + t f2)
+    np.multiply(t, f2, out=out)
+    out += f1
+    out *= t
+    out += f0
+    out += lin
+    out += xx
 
 
 def _in_threads(task, workers: int) -> None:
@@ -281,34 +320,39 @@ def entangling_power_mc(
 ) -> tuple[float, float]:
     """Monte-Carlo entangling power: mean linear entropy over product inputs.
 
-    Draws ``samples`` pairs of independent Haar-random single-qubit states
-    ``a``, ``b``, applies ``u`` and averages the linear entropy of the
-    reduced output state.  Each qubit is ``(sqrt(1 - |z|^2), z)`` with ``z``
-    uniform in the open unit disk: for a Haar qubit ``|a1|^2`` is uniform
-    on [0, 1] and the relative phase uniform and independent, which is the
-    law of ``z``, and the global phase does not change the entropy.  For a
-    normalized pure two-qubit state with 2x2 amplitude matrix ``m`` the
-    linear entropy is ``1 - tr(rho_1^2) = 2 |det m|^2``; for
-    ``psi = u (a (x) b)``, ``det m = m_a^T C m_b`` with the monomials
+    The entangling power is the mean, over independent Haar-random qubits
+    ``a`` and ``b``, of the linear entropy of the reduced state of
+    ``u (a (x) b)``.  For a normalized pure two-qubit state with 2x2
+    amplitude matrix ``m`` that entropy is ``1 - tr(rho_1^2) = 2 |det m|^2``,
+    and ``det m = m_a^T C m_b`` with the monomials
     ``m_a = (a0^2, a0 a1, a1^2)``, ``m_b`` likewise and a 3x3 matrix ``C``
-    built once from ``u``, so each sample is ``2 |m_a^T C m_b|^2`` (exactly
-    0 for the identity).
+    built once from ``u``.  The entropy has degree two in ``b`` and its
+    conjugate, so its mean over ``b`` is exact from three Haar moments:
+    ``m_a^dag F m_a`` with ``F = conj(C) diag(2/3, 1/3, 2/3) C^T``.  The
+    estimator samples only ``a`` and averages that conditional mean, which
+    has the same expectation and a smaller variance (exactly 0 for the
+    identity).  Each ``a`` is ``(sqrt(1 - |z|^2), z)`` with ``z`` uniform in
+    the open unit disk: for a Haar qubit ``|a1|^2`` is uniform on [0, 1] and
+    the relative phase uniform and independent, which is the law of ``z``,
+    and the global phase does not change the entropy.
 
-    The samples form blocks of ``_MC_CHUNK``; block ``i`` of ``n`` samples
-    draws ``2 n`` disk points, by rejection from uniforms in the square,
-    from its own stream ``SeedSequence(seed).spawn(n_blocks)[i]``: the
-    first ``n`` are the ``a`` inputs, the rest the ``b`` inputs.  The
-    blocks run on up to ``_mc_workers()`` threads, and the mean and the
-    standard error ``std(ddof=1) / sqrt(samples)`` are taken over the whole
-    entropy vector afterwards (the deviations in place, with numpy's own
-    arithmetic), so the result depends only on ``(u, samples, seed)``, not
-    on the thread count, and a fixed ``seed`` gives bit-identical results.
-    ``samples`` must lie in [1000, ``MAX_MC_SAMPLES``] and ``seed`` must be
-    a non-negative integer, both checked before anything is allocated.
+    ``samples`` counts the ``a`` inputs.  They form blocks of
+    ``_MC_CHUNK``; block ``i`` of ``n`` samples draws its ``n`` disk points,
+    by rejection from uniforms in the square, from its own stream
+    ``SeedSequence(seed).spawn(n_blocks)[i]``.  The blocks run on up to
+    ``_mc_workers()`` threads, and the mean and the standard error
+    ``std(ddof=1) / sqrt(samples)`` are taken over the whole entropy vector
+    afterwards (the deviations in place, with numpy's own arithmetic), so
+    the result depends only on ``(u, samples, seed)``, not on the thread
+    count, and a fixed ``seed`` gives bit-identical results.  The standard
+    error reported is at least ``EP_RESOLUTION``, the float64 resolution of
+    an entangling power.  ``samples`` must lie in [1000, ``MAX_MC_SAMPLES``]
+    and ``seed`` must be a non-negative integer, both checked before
+    anything is allocated.
     """
     require_mc_samples(samples)
     require_mc_seed(seed)
-    c = _det_coefficients(np.asarray(u, dtype=complex))
+    coefficients = _entropy_coefficients(np.asarray(u, dtype=complex))
     n_blocks = -(-samples // _MC_CHUNK)
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     entropy = np.empty(samples)
@@ -324,7 +368,7 @@ def entangling_power_mc(
             if i >= n_blocks:
                 return
             block = entropy[i * _MC_CHUNK:(i + 1) * _MC_CHUNK]
-            _mc_block(c, np.random.default_rng(streams[i]), block)
+            _mc_block(coefficients, np.random.default_rng(streams[i]), block)
 
     _in_threads(run, min(_mc_workers(), n_blocks))
     estimate = entropy.mean()
@@ -333,7 +377,7 @@ def entangling_power_mc(
     entropy -= estimate
     entropy *= entropy
     stderr = math.sqrt(entropy.sum() / (samples - 1)) / math.sqrt(samples)
-    return float(estimate), stderr
+    return float(estimate), max(stderr, EP_RESOLUTION)
 
 
 def is_cnot_point(weyl: tuple[float, float, float], tol: float) -> bool:
@@ -361,8 +405,10 @@ def classify_gate(
     non-negative (checked first).  The entangling power of every two-qubit
     unitary is ``(2/9)(1 - |G1|)`` (Balakrishnan & Sankaranarayanan, PRA 82,
     034301 (2010)), which ``tests/test_mc_kernel.py`` pins through a qubit
-    2-design; ``ep`` stays the seeded Monte-Carlo estimate, with its standard
-    error ``ep_stderr``, because its readers (the benchmark's oracles among
+    2-design.  ``ep`` stays the seeded Monte-Carlo estimate of
+    ``entangling_power_mc`` (``ep_samples`` first inputs, the second input
+    averaged in closed form), with its standard error ``ep_stderr`` floored
+    at ``EP_RESOLUTION``, because its readers (the benchmark's oracles among
     them) check it as an estimate.
     """
     _require_cnot_tol(cnot_tol)

@@ -94,12 +94,13 @@ class SweepSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
     """Fidelity and sector-leakage surfaces over the DM ratio grid.
 
     Rows are indexed by the first ratio and columns by the second, both
-    taking the values of ``axis``.  ``leakage`` is an upper bound on the
+    taking the values of ``axis``.  Tables compare by identity, as their
+    fields are arrays.  ``leakage`` is an upper bound on the
     population escaping the fixed-excitation sector,
     ``min(1, (tau * (r0 + |d1| r1 + |d2| r2))**2)`` from the invariance
     residuals ``r = ||(I - P) X P||_F`` of the unperturbed Hamiltonian and

@@ -286,6 +286,13 @@ class TestRunSweep:
         assert np.array_equal(first.fidelity, second.fidelity)
         assert np.array_equal(first.leakage, second.leakage)
 
+    def test_tables_compare_and_hash_by_identity(self):
+        # The fields are arrays, whose == is elementwise.
+        spec = noise.SweepSpec(loop_target(gate="hadamard"), steps_per_axis=2)
+        table = noise.run_sweep(spec)
+        assert table == table and table != noise.run_sweep(spec)
+        assert {table: 1}[table] == 1
+
     def test_axis_spacing(self):
         log_spec = noise.SweepSpec(
             loop_target(gate="hadamard"), ratio_min=1, ratio_max=100, steps_per_axis=3
