@@ -50,9 +50,9 @@ print(f"is CNOT itself?                      {is_cnot_class(CNOT)}")
 print(f"is SWAP?                             {is_cnot_class(SWAP)}")
 
 # --- Monte-Carlo calibration of the entangling power ---------------------------
-# Haar-random first inputs, the second input averaged in closed form; the
-# mean linear entropy of the output estimates the entangling power with a
-# 1/sqrt(N) standard error.
+# Random |a1|^2 of the first input, the rest of the product input averaged
+# in closed form; the mean linear entropy of the output estimates the
+# entangling power with a 1/sqrt(N) standard error.
 print("\ntheta_tilde   closed form   Monte Carlo (1e5 samples)")
 for i, tt in enumerate((np.pi / 8, np.pi / 4, 1.2)):
     exact = entangling_power_analytic(tt)

@@ -12,15 +12,17 @@ al. (PRA 68, 052311 (2003)).  Conventions that the numbers depend on:
   sorting and the c3<0 reflection; the residual identification of
   (c1,c2,0) with (pi-c1,c2,0) on the base is deliberately not folded, so
   the one-parameter gate family traces the whole edge O-A1.
+
+The entangling power (Zanardi, Zalka & Faoro, PRA 62, 030301 (2000)) is a
+seeded Monte-Carlo estimate that samples only ``|a1|^2`` of the first input
+qubit and averages the rest of the product input in closed form
+(``entangling_power_mc``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,30 +54,29 @@ UNITARITY_TOL = 1e-10
 CNOT_TOL = 1e-6
 
 # Largest Monte-Carlo sample count: the entropy vector takes 8 bytes per
-# sample, so the cap bounds it at 80 MB.  The standard error is taken in
-# place in that vector and the draws live only per block (about 0.6 MB of
-# draws and temporaries per worker), so the estimator needs no second
-# samples-sized array.
+# sample, so the cap bounds it at 80 MB.  The draws are made in that vector
+# and the standard error is taken in place in it, so the estimator needs no
+# second samples-sized array.
 MAX_MC_SAMPLES = 10_000_000
 # Monte-Carlo samples of an entangling-power estimate unless a caller sets them.
 MC_SAMPLES = 100_000
-# Samples per block of the Monte-Carlo kernel, each with its own random
-# stream: a block's uniform draws are 0.18 MB, its 8192 disk points 0.13 MB
-# and each per-sample real temporary 64 kB, so a block's working set stays
-# in cache.
+# Samples per chunk of the Monte-Carlo kernel: its one scratch array is
+# 64 kB, so a chunk's working set stays in cache.
 _MC_CHUNK = 8192
 # Float64 resolution of an entangling power: a few ulps of EP_MAX.  The
 # reported standard error of an estimate is never below it, since a gate
 # whose sampled entropies are all equal (a local gate, SWAP, the Weyl points
-# (c1, pi/4, pi/4)) has an exact value that carries this much roundoff.
+# (c1, pi/4, pi/4) and (pi/4, pi/4, c3)) has an exact value that carries
+# this much roundoff.
 EP_RESOLUTION = 4 * EP_MAX * math.ulp(1.0)
 # det m = (1/2) psi^T _OMEGA psi for the amplitudes psi of a two-qubit state.
 _OMEGA = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
 # Sums the (p, q) entries of a 2x2 coefficient array by monomial a_p a_q.
 _MONOMIALS = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
-# Twice the Haar moments E|b0^2|^2, E|b0 b1|^2, E|b1^2|^2 of a qubit b; the
-# cross moments of (b0^2, b0 b1, b1^2) vanish by the phase symmetry of b1.
-_HAAR_MOMENTS = np.diag([2 / 3, 1 / 3, 2 / 3])
+# Twice the Haar moments E|b0^2|^2, E|b0 b1|^2, E|b1^2|^2 of a qubit b, the
+# diagonal of F's middle factor; the cross moments of (b0^2, b0 b1, b1^2)
+# vanish by the phase symmetry of b1.
+_HAAR_MOMENTS = np.array([2 / 3, 1 / 3, 2 / 3])
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class EntanglementReport:
     weyl: tuple[float, float, float]
     ep: float
     cnot_equivalent: bool
-    ep_stderr: float | None = None
+    ep_stderr: float
 
 
 def require_unitary(u: np.ndarray, tol: float) -> np.ndarray:
@@ -187,7 +188,7 @@ def entangling_power_analytic(theta_tilde: float) -> float:
 
 def require_mc_samples(samples: int) -> None:
     """Refuse a Monte-Carlo sample count that is not an integer in [1000, MAX_MC_SAMPLES]."""
-    if not isinstance(samples, numbers.Integral):
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
         raise ValueError(f"Monte-Carlo samples must be an integer, got {samples}")
     if not 1000 <= samples <= MAX_MC_SAMPLES:
         raise ValueError(
@@ -198,21 +199,13 @@ def require_mc_samples(samples: int) -> None:
 
 def require_mc_seed(seed: int) -> None:
     """Refuse a Monte-Carlo seed that is not a non-negative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"Monte-Carlo seed must be a non-negative integer, got {seed}")
 
 
 def _require_cnot_tol(tol: float) -> None:
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"CNOT tolerance must be finite and non-negative, got {tol}")
-
-
-def _mc_workers() -> int:
-    """Threads for the Monte-Carlo estimator: the CPUs this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def _det_coefficients(u: np.ndarray) -> np.ndarray:
@@ -224,95 +217,17 @@ def _det_coefficients(u: np.ndarray) -> np.ndarray:
     return 0.5 * _MONOMIALS @ k @ _MONOMIALS.T
 
 
-def _entropy_coefficients(u: np.ndarray) -> list[float]:
+def _entropy_coefficients(u: np.ndarray) -> tuple[float, float, float]:
     # The mean of 2 |m_a^T C m_b|^2 over a Haar qubit b is m_a^dag F m_a
-    # with F = conj(C) diag(2/3, 1/3, 2/3) C^T.  For a = (s, z), z = x + iy,
-    # t = |z|^2, r = 1 - t and s = sqrt(r), m_a = (r, s z, z^2) and
-    #   m_a^dag F m_a = f0 + t (f1 + t f2) + s ((p0 + p1 t) x + (q0 + q1 t) y)
-    #                   + r (g (x^2 - y^2) + h x y),
-    # whose real coefficients are returned in that order.
-    c = _det_coefficients(u)
-    f = c.conj() @ _HAAR_MOMENTS @ c.T
-    f00, f11, f22 = f.diagonal().real
-    lin0, lin1, quad = 2 * f[0, 1], 2 * (f[1, 2] - f[0, 1]), 2 * f[0, 2]
-    return [f00, f11 - 2 * f00, f00 - f11 + f22, lin0.real, lin1.real,
-            -lin0.imag, -lin1.imag, quad.real, -2 * quad.imag]
-
-
-def _disk_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    # count complex points uniform in the open unit disk, by rejection from
-    # the square [-1, 1)^2 (acceptance pi/4).  Each round draws 4/3 of the
-    # shortfall plus 64 candidates, so a block's 8192 points need a second
-    # round only on a 10-sigma shortfall.  The result depends only on the
-    # stream, and the first n points of a larger count are the n points.
-    rounds = []
-    shortfall = count
-    while shortfall:
-        z = 2.0 * rng.random(2 * (shortfall * 4 // 3 + 64)).view(complex) - (1 + 1j)
-        rounds.append(z[z.real * z.real + z.imag * z.imag < 1.0][:shortfall])
-        shortfall -= len(rounds[-1])
-    return rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
-
-
-def _mc_block(coefficients: list[float], rng: np.random.Generator, out: np.ndarray) -> None:
-    # Conditional linear entropies of len(out) inputs a drawn from rng,
-    # written to out: each is the mean over a Haar b, the polynomial of
-    # _entropy_coefficients at one disk point z.  Elementwise real ufuncs
-    # only: they release the GIL and call no BLAS.
-    f0, f1, f2, p0, p1, q0, q1, g, h = coefficients
-    z = _disk_points(rng, len(out))
-    x, y = z.real, z.imag
-    xx = x * x
-    yy = y * y
-    t = xx + yy
-    r = 1.0 - t
-    s = np.sqrt(r)
-    # r (g (x^2 - y^2) + h x y)
-    xx -= yy
-    xx *= g
-    yy = x * y
-    yy *= h
-    xx += yy
-    xx *= r
-    # s ((p0 + p1 t) x + (q0 + q1 t) y)
-    lin = t * p1
-    lin += p0
-    lin *= x
-    lin_y = t * q1
-    lin_y += q0
-    lin_y *= y
-    lin += lin_y
-    lin *= s
-    # f0 + t (f1 + t f2)
-    np.multiply(t, f2, out=out)
-    out += f1
-    out *= t
-    out += f0
-    out += lin
-    out += xx
-
-
-def _in_threads(task, workers: int) -> None:
-    # task() runs here and on workers - 1 threads of its own, all joined
-    # before return; the first error is re-raised.
-    errors = []
-
-    def guarded():
-        try:
-            task()
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded) for _ in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        guarded()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    # with F = conj(C) diag(2/3, 1/3, 2/3) C^T.  For a = (sqrt(1 - t), z)
+    # with t = |z|^2, m_a = (1 - t, sqrt(1 - t) z, z^2), and every
+    # off-diagonal term of m_a^dag F m_a carries the phase of z once or
+    # twice, so its mean over that phase is
+    #   F00 (1 - t)^2 + F11 t (1 - t) + F22 t^2 = e0 + t (e1 + t e2),
+    # whose real coefficients (e0, e1, e2) are returned.  diag F is
+    # |C|^2 @ (2/3, 1/3, 2/3).
+    f00, f11, f22 = np.abs(_det_coefficients(u)) ** 2 @ _HAAR_MOMENTS
+    return float(f00), float(f11 - 2 * f00), float(f00 - f11 + f22)
 
 
 def entangling_power_mc(
@@ -328,49 +243,42 @@ def entangling_power_mc(
     ``m_a = (a0^2, a0 a1, a1^2)``, ``m_b`` likewise and a 3x3 matrix ``C``
     built once from ``u``.  The entropy has degree two in ``b`` and its
     conjugate, so its mean over ``b`` is exact from three Haar moments:
-    ``m_a^dag F m_a`` with ``F = conj(C) diag(2/3, 1/3, 2/3) C^T``.  The
-    estimator samples only ``a`` and averages that conditional mean, which
-    has the same expectation and a smaller variance (exactly 0 for the
-    identity).  Each ``a`` is ``(sqrt(1 - |z|^2), z)`` with ``z`` uniform in
-    the open unit disk: for a Haar qubit ``|a1|^2`` is uniform on [0, 1] and
-    the relative phase uniform and independent, which is the law of ``z``,
-    and the global phase does not change the entropy.
+    ``m_a^dag F m_a`` with ``F = conj(C) diag(2/3, 1/3, 2/3) C^T``.  Up to
+    a global phase, which does not change the entropy, a Haar ``a`` is
+    ``(sqrt(1 - t), sqrt(t) e^{i phi})`` with ``t = |a1|^2`` uniform on
+    [0, 1] and ``phi`` uniform and independent.  The mean of
+    ``m_a^dag F m_a`` over ``phi`` is exact too, the quadratic
+    ``F00 (1 - t)^2 + F11 t (1 - t) + F22 t^2``, so the estimator samples
+    only ``t`` and averages that quadratic.  It has the expectation of the
+    linear entropy and a smaller variance (exactly 0 for the identity).
 
-    ``samples`` counts the ``a`` inputs.  They form blocks of
-    ``_MC_CHUNK``; block ``i`` of ``n`` samples draws its ``n`` disk points,
-    by rejection from uniforms in the square, from its own stream
-    ``SeedSequence(seed).spawn(n_blocks)[i]``.  The blocks run on up to
-    ``_mc_workers()`` threads, and the mean and the standard error
-    ``std(ddof=1) / sqrt(samples)`` are taken over the whole entropy vector
-    afterwards (the deviations in place, with numpy's own arithmetic), so
-    the result depends only on ``(u, samples, seed)``, not on the thread
-    count, and a fixed ``seed`` gives bit-identical results.  The standard
-    error reported is at least ``EP_RESOLUTION``, the float64 resolution of
-    an entangling power.  ``samples`` must lie in [1000, ``MAX_MC_SAMPLES``]
-    and ``seed`` must be a non-negative integer, both checked before
-    anything is allocated.
+    ``samples`` counts the ``t`` draws.  They are ``rng.random()`` of one
+    generator ``np.random.default_rng(seed)``, made in place in the entropy
+    vector one ``_MC_CHUNK`` at a time, so the first ``n`` draws of a
+    larger count are the ``n`` draws, whatever the chunk size.  The mean
+    and the standard error ``std(ddof=1) / sqrt(samples)`` are taken over
+    the whole entropy vector afterwards (the deviations in place, with
+    numpy's own arithmetic), and a fixed ``seed`` gives bit-identical
+    results.  The standard error reported is at least ``EP_RESOLUTION``,
+    the float64 resolution of an entangling power.  ``samples`` must lie in
+    [1000, ``MAX_MC_SAMPLES``] and ``seed`` must be a non-negative integer
+    (``bool`` is refused), both checked before anything is allocated.
     """
     require_mc_samples(samples)
     require_mc_seed(seed)
-    coefficients = _entropy_coefficients(np.asarray(u, dtype=complex))
-    n_blocks = -(-samples // _MC_CHUNK)
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    e0, e1, e2 = _entropy_coefficients(np.asarray(u, dtype=complex))
+    rng = np.random.default_rng(seed)
     entropy = np.empty(samples)
-    # Each thread takes the next block as it finishes one, so a thread that
-    # gets less CPU time leaves its share to the others.
-    next_block = itertools.count()
-    lock = threading.Lock()
-
-    def run():
-        while True:
-            with lock:
-                i = next(next_block)
-            if i >= n_blocks:
-                return
-            block = entropy[i * _MC_CHUNK:(i + 1) * _MC_CHUNK]
-            _mc_block(coefficients, np.random.default_rng(streams[i]), block)
-
-    _in_threads(run, min(_mc_workers(), n_blocks))
+    scratch = np.empty(min(samples, _MC_CHUNK))
+    for start in range(0, samples, _MC_CHUNK):
+        t = entropy[start:start + _MC_CHUNK]
+        rng.random(out=t)
+        # e0 + t (e1 + t e2), written over t.
+        poly = scratch[:len(t)]
+        np.multiply(t, e2, out=poly)
+        poly += e1
+        poly *= t
+        np.add(poly, e0, out=t)
     estimate = entropy.mean()
     # std(ddof=1) without its samples-sized temporary: the same operations
     # in the same order, so the same bits.
@@ -406,8 +314,8 @@ def classify_gate(
     unitary is ``(2/9)(1 - |G1|)`` (Balakrishnan & Sankaranarayanan, PRA 82,
     034301 (2010)), which ``tests/test_mc_kernel.py`` pins through a qubit
     2-design.  ``ep`` stays the seeded Monte-Carlo estimate of
-    ``entangling_power_mc`` (``ep_samples`` first inputs, the second input
-    averaged in closed form), with its standard error ``ep_stderr`` floored
+    ``entangling_power_mc`` (``ep_samples`` draws of ``|a1|^2``, the rest
+    of the input averaged in closed form), with its standard error ``ep_stderr`` floored
     at ``EP_RESOLUTION``, because its readers (the benchmark's oracles among
     them) check it as an estimate.
     """

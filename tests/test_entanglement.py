@@ -168,10 +168,16 @@ class TestEntanglingPower:
         with pytest.raises(ValueError, match="samples"):
             ent.entangling_power_mc(np.eye(4), 100, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, -3, 1.5])
+    @pytest.mark.parametrize("seed", [-1, -3, 1.5, True, False])
     def test_mc_refuses_a_bad_seed(self, seed):
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
             ent.entangling_power_mc(np.eye(4), 1000, seed=seed)
+
+    @pytest.mark.parametrize("samples", [True, False, 1000.0])
+    def test_mc_refuses_a_sample_count_that_is_not_an_integer(self, samples):
+        # bool is an Integral, but True would run as 1 and a bool seed as 0 or 1.
+        with pytest.raises(ValueError, match=f"samples must be an integer, got {samples}"):
+            ent.entangling_power_mc(np.eye(4), samples, seed=0)
 
 
 class TestCnotClass:
