@@ -31,7 +31,6 @@ from .entanglement import (
     require_mc_samples,
     require_mc_seed,
 )
-from .linalg import unitarity_defect
 from .holonomy import GATE_PRESETS, TIME_SAMPLES, evolve_and_project, loop_target
 from .noise import SweepSpec, run_sweep
 from .spin_model import restrict
@@ -295,6 +294,10 @@ def _load_matrix(path: str) -> np.ndarray:
                 raise ValueError(f"row {i} does not have 4 entries")
             for j, pair in enumerate(row):
                 re, im = pair
+                # Only JSON numbers: a 2-character string would unpack as a
+                # pair, and float() accepts numeric strings and booleans.
+                if not all(type(part) in (int, float) for part in (re, im)):
+                    raise TypeError(f"entry [{i}][{j}] is not a pair of numbers")
                 matrix[i, j] = float(re) + 1j * float(im)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CommandError(
@@ -310,7 +313,6 @@ def cmd_classify(args) -> int:
         matrix, ep_samples=args.samples, seed=args.seed, cnot_tol=args.cnot_tol,
         tol=TOLERANCES["input_unitarity"],
     )
-    defect = unitarity_defect(matrix)
     payload = {
         "command": "classify",
         "g1": report.g1,
@@ -321,7 +323,7 @@ def cmd_classify(args) -> int:
         "mc_samples": args.samples,
         "seed": args.seed,
         "cnot_equivalent": report.cnot_equivalent,
-        "unitarity_defect": defect,
+        "unitarity_defect": report.unitarity_defect,
         "tolerances": TOLERANCES,
     }
     _emit(_json_text(payload), args.out)

@@ -14,8 +14,10 @@ al. (PRA 68, 052311 (2003)).  Conventions that the numbers depend on:
   the one-parameter gate family traces the whole edge O-A1.
 
 The entangling power (Zanardi, Zalka & Faoro, PRA 62, 030301 (2000)) is a
-seeded Monte-Carlo estimate that samples only ``|a1|^2`` of the first input
-qubit and averages the rest of the product input in closed form
+seeded Monte-Carlo estimate that samples only ``t = |a1|^2`` of the first
+input qubit and averages the rest of the product input in closed form, so
+that a sample is a quadratic in ``t``; the estimate and its standard error
+are taken from four running power sums of the draws
 (``entangling_power_mc``).
 """
 
@@ -44,25 +46,28 @@ _Q_MAGIC = np.array(
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
 
-# Maps the reduced eigenphase vector to (c1, c2, c3).
-_COORD_MIX = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
-
 CNOT_POINT = (math.pi / 2, 0.0, 0.0)
 # Default tolerances: the unitarity defect a gate may show, and the Weyl
 # distance, per coordinate, within which it counts as CNOT-equivalent.
 UNITARITY_TOL = 1e-10
 CNOT_TOL = 1e-6
 
-# Largest Monte-Carlo sample count: the entropy vector takes 8 bytes per
-# sample, so the cap bounds it at 80 MB.  The draws are made in that vector
-# and the standard error is taken in place in it, so the estimator needs no
-# second samples-sized array.
+# Largest Monte-Carlo sample count.  The estimator keeps no samples-sized
+# array, so the cap bounds its time, not its memory: about 40 ms at the cap
+# on one core of a 2-vCPU x86_64 VM.
 MAX_MC_SAMPLES = 10_000_000
 # Monte-Carlo samples of an entangling-power estimate unless a caller sets them.
 MC_SAMPLES = 100_000
-# Samples per chunk of the Monte-Carlo kernel: its one scratch array is
-# 64 kB, so a chunk's working set stays in cache.
+# Samples per chunk of the Monte-Carlo kernel.  It must be even, so that a
+# chunk takes whole 64-bit words and the draws do not depend on it.  Its
+# buffer of j and j^2 takes 128 kB, so a chunk's working set stays in
+# cache, and it stays below the 10,000 elements from which OpenBLAS threads
+# a dot product (32768 samples per chunk lost the speed of this kernel).
 _MC_CHUNK = 8192
+# A draw t = 1/2 + (j + 1/2) 2^-32 of a signed 32-bit integer j is
+# _MC_CENTER + j _MC_SCALE, both terms exact.
+_MC_SCALE = 2.0**-32
+_MC_CENTER = 0.5 + _MC_SCALE / 2
 # Float64 resolution of an entangling power: a few ulps of EP_MAX.  The
 # reported standard error of an estimate is never below it, since a gate
 # whose sampled entropies are all equal (a local gate, SWAP, the Weyl points
@@ -84,7 +89,8 @@ class EntanglementReport:
     """Classification of one two-qubit gate.
 
     ``ep`` is the seeded Monte-Carlo estimate of the entangling power and
-    ``ep_stderr`` its standard error, for every input gate.
+    ``ep_stderr`` its standard error, for every input gate;
+    ``unitarity_defect`` is the largest entry of ``|u^dag u - I|``.
     """
 
     g1: complex
@@ -93,11 +99,12 @@ class EntanglementReport:
     ep: float
     cnot_equivalent: bool
     ep_stderr: float
+    unitarity_defect: float
 
 
-def require_unitary(u: np.ndarray, tol: float) -> np.ndarray:
-    """Return ``u`` as a complex array after checking that it is a finite
-    4x4 matrix with unitarity defect at most ``tol``."""
+def require_unitary(u: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Return ``u`` as a complex array, and its unitarity defect, after
+    checking that it is a finite 4x4 matrix with that defect at most ``tol``."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {u.shape}")
@@ -106,7 +113,7 @@ def require_unitary(u: np.ndarray, tol: float) -> np.ndarray:
     defect = unitarity_defect(u)
     if not defect <= tol:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {tol:.0e}")
-    return u
+    return u, defect
 
 
 def local_invariants(u: np.ndarray, tol: float = UNITARITY_TOL) -> tuple[complex, float]:
@@ -116,10 +123,14 @@ def local_invariants(u: np.ndarray, tol: float = UNITARITY_TOL) -> tuple[complex
     ``u -> (a (x) b) u (c (x) d)`` for any single-qubit unitaries and under
     global phases.
     """
-    u = require_unitary(u, tol)
+    u, _ = require_unitary(u, tol)
+    return _local_invariants(u, np.linalg.det(u))
+
+
+def _local_invariants(u: np.ndarray, det: complex) -> tuple[complex, float]:
+    # local_invariants of a checked unitary whose determinant is given.
     ub = _Q_MAGIC.conj().T @ u @ _Q_MAGIC
     m = ub.T @ ub
-    det = np.linalg.det(u)
     tr = np.trace(m)
     g1 = tr**2 / (16.0 * det)
     g2 = (tr**2 - np.trace(m @ m)) / (4.0 * det)
@@ -146,30 +157,30 @@ def weyl_coordinates(u: np.ndarray, tol: float = UNITARITY_TOL) -> tuple[float, 
     against the Makhlin invariants guards the phase unwrapping and raises if
     it cannot be trusted.
     """
-    invariants = local_invariants(u, tol)
-    return _weyl_coordinates(np.asarray(u, dtype=complex), invariants)
+    u, _ = require_unitary(u, tol)
+    det = np.linalg.det(u)
+    return _weyl_coordinates(u, det, _local_invariants(u, det))
 
 
 def _weyl_coordinates(
-    u: np.ndarray, invariants: tuple[complex, float]
+    u: np.ndarray, det: complex, invariants: tuple[complex, float]
 ) -> tuple[float, float, float]:
-    # weyl_coordinates of a checked unitary whose local invariants are given.
+    # weyl_coordinates of a checked unitary whose determinant and local
+    # invariants are given.
     u_tilde = _SYSY @ u.T @ _SYSY
-    ev = np.linalg.eigvals(u @ u_tilde / np.sqrt(np.linalg.det(u).astype(complex)))
-    two_s = np.angle(ev) / math.pi
-    two_s[two_s <= -0.5] += 2.0
-    s = np.sort(two_s / 2.0)[::-1]
-    n = int(round(s.sum()))
-    s -= np.concatenate([np.ones(n), np.zeros(4 - n)])
-    s = np.roll(s, -n)
-    c1, c2, c3 = _COORD_MIX @ s[:3]
+    ev = np.linalg.eigvals(u @ u_tilde / np.sqrt(det))
+    # The four eigenphases in plain floats: each in (-1/4, 3/4] turns,
+    # sorted down; their sum is an integer n, removed by lowering the n
+    # largest by one and moving them last.  c1 starts from +0.0, so that a
+    # zero c1 is never reported as -0.0.
+    s = sorted(((v + 2.0 if v <= -0.5 else v) / 2.0
+                for v in (np.angle(ev) / math.pi).tolist()), reverse=True)
+    n = round(sum(s))
+    s = s[n:] + [v - 1.0 for v in s[:n]]
+    c1, c2, c3 = 0.0 + s[0] + s[1], s[0] + s[2], s[1] + s[2]
     if c3 < -1e-9:
         c1, c3 = 1.0 - c1, -c3
-    coords = (
-        math.pi * float(c1),
-        math.pi * abs(float(c2)),
-        math.pi * abs(float(c3)),
-    )
+    coords = (math.pi * c1, math.pi * abs(c2), math.pi * abs(c3))
     g1_direct, g2_direct = invariants
     g1_chamber, g2_chamber = _invariants_from_weyl(*coords)
     mismatch = abs(g1_direct - g1_chamber) + abs(g2_direct - g2_chamber)
@@ -252,39 +263,57 @@ def entangling_power_mc(
     only ``t`` and averages that quadratic.  It has the expectation of the
     linear entropy and a smaller variance (exactly 0 for the identity).
 
-    ``samples`` counts the ``t`` draws.  They are ``rng.random()`` of one
-    generator ``np.random.default_rng(seed)``, made in place in the entropy
-    vector one ``_MC_CHUNK`` at a time, so the first ``n`` draws of a
-    larger count are the ``n`` draws, whatever the chunk size.  The mean
-    and the standard error ``std(ddof=1) / sqrt(samples)`` are taken over
-    the whole entropy vector afterwards (the deviations in place, with
-    numpy's own arithmetic), and a fixed ``seed`` gives bit-identical
-    results.  The standard error reported is at least ``EP_RESOLUTION``,
-    the float64 resolution of an entangling power.  ``samples`` must lie in
-    [1000, ``MAX_MC_SAMPLES``] and ``seed`` must be a non-negative integer
-    (``bool`` is refused), both checked before anything is allocated.
+    ``samples`` counts the ``t`` draws.  They come from the bit generator
+    of ``np.random.default_rng(seed)``: each 64-bit word of ``random_raw``
+    splits into two signed 32-bit integers ``j``, read little-endian (low
+    half first) on every platform, and ``t = 1/2 + (j + 1/2) 2^-32`` is the
+    midpoint of one of 2^32 equal cells, never 0 or 1; that biases the
+    quadratic's mean by at most ``|F00 - F11 + F22| / (12 * 2^64)``.  An odd
+    count drops the high half of the last word, and the first ``n`` draws
+    of a larger count are the ``n`` draws.  With ``t = c + d``, ``c = 1/2 +
+    2^-33`` and ``d = j 2^-32``, a sample is ``alpha + beta d + gamma d^2``,
+    so its sample mean and population variance are exact functions of the
+    means ``m1 .. m4`` of ``d .. d^4``: ``alpha + beta m1 + gamma m2`` and
+    ``beta^2 (m2 - m1^2) + 2 beta gamma (m3 - m1 m2) + gamma^2 (m4 -
+    m2^2)``.  The kernel streams the four power sums one ``_MC_CHUNK`` at a
+    time through one chunk-sized buffer and keeps no samples-sized array.
+    The standard error is ``std(ddof=1) / sqrt(samples)`` from that
+    variance: the same sample statistics as over a vector of the samples,
+    equal to roundoff.  A fixed ``seed`` gives bit-identical results, and
+    chunk sizes agree to roundoff.  The standard error reported is
+    at least ``EP_RESOLUTION``, the float64 resolution of an entangling
+    power.  ``samples`` must lie in [1000, ``MAX_MC_SAMPLES``] and ``seed``
+    must be a non-negative integer (``bool`` is refused), both checked
+    before anything is allocated.
     """
     require_mc_samples(samples)
     require_mc_seed(seed)
     e0, e1, e2 = _entropy_coefficients(np.asarray(u, dtype=complex))
-    rng = np.random.default_rng(seed)
-    entropy = np.empty(samples)
-    scratch = np.empty(min(samples, _MC_CHUNK))
+    bit_generator = np.random.default_rng(seed).bit_generator
+    # Rows j and j^2 of one chunk's draws.
+    powers = np.empty((2, min(samples, _MC_CHUNK)))
+    s12 = np.zeros(2)
+    s3 = s4 = 0.0
     for start in range(0, samples, _MC_CHUNK):
-        t = entropy[start:start + _MC_CHUNK]
-        rng.random(out=t)
-        # e0 + t (e1 + t e2), written over t.
-        poly = scratch[:len(t)]
-        np.multiply(t, e2, out=poly)
-        poly += e1
-        poly *= t
-        np.add(poly, e0, out=t)
-    estimate = entropy.mean()
-    # std(ddof=1) without its samples-sized temporary: the same operations
-    # in the same order, so the same bits.
-    entropy -= estimate
-    entropy *= entropy
-    stderr = math.sqrt(entropy.sum() / (samples - 1)) / math.sqrt(samples)
+        count = min(_MC_CHUNK, samples - start)
+        block = powers[:, :count]
+        x, x2 = block
+        words = bit_generator.random_raw((count + 1) // 2)
+        np.copyto(x, words.astype("<u8", copy=False).view("<i4")[:count])
+        del words  # freed before the next chunk's words are drawn
+        np.multiply(x, x, out=x2)
+        s12 += block.sum(axis=1)
+        s3 += x2 @ x
+        s4 += x2 @ x2
+    # Means of d^k = (j 2^-32)^k; the scales are powers of two, so exact.
+    m1, m2, m3, m4 = (s * _MC_SCALE**k / samples for k, s in enumerate((*s12, s3, s4), 1))
+    # e0 + t (e1 + t e2) = alpha + beta d + gamma d^2 at t = _MC_CENTER + d.
+    alpha = e0 + _MC_CENTER * (e1 + _MC_CENTER * e2)
+    beta, gamma = e1 + 2 * _MC_CENTER * e2, e2
+    estimate = alpha + beta * m1 + gamma * m2
+    variance = (beta * beta * (m2 - m1 * m1) + 2 * beta * gamma * (m3 - m1 * m2)
+                + gamma * gamma * (m4 - m2 * m2))
+    stderr = math.sqrt(variance * samples / (samples - 1)) / math.sqrt(samples)
     return float(estimate), max(stderr, EP_RESOLUTION)
 
 
@@ -317,11 +346,14 @@ def classify_gate(
     ``entangling_power_mc`` (``ep_samples`` draws of ``|a1|^2``, the rest
     of the input averaged in closed form), with its standard error ``ep_stderr`` floored
     at ``EP_RESOLUTION``, because its readers (the benchmark's oracles among
-    them) check it as an estimate.
+    them) check it as an estimate.  ``unitarity_defect`` is that of the
+    unitarity check.
     """
     _require_cnot_tol(cnot_tol)
-    g1, g2 = local_invariants(u, tol)
-    weyl = _weyl_coordinates(np.asarray(u, dtype=complex), (g1, g2))
+    u, defect = require_unitary(u, tol)
+    det = np.linalg.det(u)
+    g1, g2 = _local_invariants(u, det)
+    weyl = _weyl_coordinates(u, det, (g1, g2))
     ep, stderr = entangling_power_mc(u, ep_samples, seed)
     return EntanglementReport(
         g1=g1,
@@ -330,4 +362,5 @@ def classify_gate(
         ep=ep,
         cnot_equivalent=is_cnot_point(weyl, cnot_tol),
         ep_stderr=stderr,
+        unitarity_defect=defect,
     )

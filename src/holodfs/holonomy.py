@@ -34,7 +34,8 @@ MAX_TIME_SAMPLES = 1_000_000
 # gemm below this many multiply-adds, which holds the pass on one thread in
 # OpenBLAS, the BLAS that numpy wheels bundle: it threads a gemm from
 # m*n*k = 65536 on, and its threads then spin for a while after returning,
-# taking the CPUs that the Monte-Carlo workers of synth-2q run on next.
+# taking CPU time from whatever the process or the machine runs next, for
+# products too small to gain from threads.
 _GEMM_SINGLE_THREAD = 65536
 
 

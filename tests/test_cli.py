@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from holodfs import cli
 from holodfs import entanglement as ent
 from holodfs.holonomy import analytic_gate_1q, loop_target
+from holodfs.linalg import unitarity_defect
 from holodfs.noise import SweepSpec, SweepTable, run_sweep
 
 
@@ -355,6 +356,21 @@ class TestClassify:
         shape.write_text(json.dumps([[1, 2], [3, 4]]))
         assert run(["classify", str(shape)]) == 5
 
+    @pytest.mark.parametrize("entry", ['"10"', '["1", "0"]', "[true, false]"],
+                             ids=["string-pair", "numeric-strings", "booleans"])
+    def test_entry_that_is_not_a_pair_of_numbers_exits_5(self, tmp_path, capsys, entry):
+        # Each of these unpacks into two values that float() accepts, so the
+        # identity with it as its first entry would classify and exit 0.
+        identity = [[[int(i == j), 0] for j in range(4)] for i in range(4)]
+        rows = json.dumps(identity).replace("[1, 0]", entry, 1)
+        path = tmp_path / "m.json"
+        path.write_text(rows)
+        out = tmp_path / "c.json"
+        assert run(["classify", str(path), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "is not a 4x4 array of [re, im] pairs: entry [0][0]" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("digits", [401, 5001])
     def test_integer_beyond_float_range_exits_5(self, tmp_path, capsys, digits):
         # 10**400 overflows float(); 5001 digits exceed Python's default
@@ -437,10 +453,12 @@ class TestInvariantsOnce:
         matrix_path = tmp_path / "cnot.json"
         write_matrix(matrix_path, CNOT)
         calls = []
-        invariants = ent.local_invariants
-        for module in (ent, cli):  # every binding, as the bench tracer patches them
-            if hasattr(module, "local_invariants"):
-                monkeypatch.setattr(module, "local_invariants",
+        # classify_gate checks the matrix and takes its determinant once and
+        # hands both to the private function that computes the invariants.
+        invariants = ent._local_invariants
+        for module in (ent, cli):  # every binding
+            if hasattr(module, "_local_invariants"):
+                monkeypatch.setattr(module, "_local_invariants",
                                     lambda *a, **k: calls.append(1) or invariants(*a, **k))
         argv = [str(matrix_path) if a == "MATRIX" else a for a in argv]
         assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
@@ -454,6 +472,7 @@ class TestInvariantsOnce:
         report = ent.classify_gate(u, ep_samples=1000)
         assert (report.g1, report.g2) == ent.local_invariants(u)
         assert report.weyl == ent.weyl_coordinates(u)
+        assert report.unitarity_defect == unitarity_defect(u)
 
 
 class TestMonteCarloCap:

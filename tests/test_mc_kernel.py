@@ -1,21 +1,25 @@
 """The streaming Monte-Carlo entangling-power kernel against its oracles.
 
 The kernel draws ``t = |a1|^2`` of each first input qubit uniform on
-[0, 1] and averages the phase of ``a1`` and the whole second input in
-closed form.  Its draws are checked on their own: they are exactly
-``np.random.default_rng(seed).random(samples)``, each made once, a larger
-count starts with a smaller one, and they are uniform.
+(0, 1) and averages the phase of ``a1`` and the whole second input in
+closed form, so a sample is a quadratic in ``t``; it keeps only four power
+sums of the draws.  Its draws are checked on their own: each 64-bit word of
+``np.random.default_rng(seed).bit_generator.random_raw`` is taken once and
+split into two signed 32-bit integers ``j``, low half first, with ``t = 1/2
++ (j + 1/2) 2^-32``; a larger count starts with a smaller one, an odd count
+drops the high half of the last word, and the draws are uniform.
 
-``reference_entangling_power_mc`` is the dense estimator.  For each drawn
-``t`` it builds the three qubits ``(sqrt(1 - t), sqrt(t) w^k)`` with
-``w = exp(2 pi i / 3)``, pairs each with the four tetrahedral states (a
-qubit 2-design, so their mean is the Haar mean over the second input of any
-entropy of degree two in it), builds every reduced density matrix and takes
-the mean of ``1 - tr(rho_1^2)`` over the 12 products.  The entropy holds the
-phase of ``a1`` with frequencies up to 2, which three equally spaced phases
-cancel, so the two must agree to roundoff.  The closed form
-``(2/9)(1 - |G1|)`` (Balakrishnan & Sankaranarayanan, PRA 82, 034301
-(2010)) is the statistical oracle.
+``reference_entangling_power_mc`` is the dense estimator.  It splits the
+same raw words in pure Python, and for each drawn ``t`` it builds the three
+qubits ``(sqrt(1 - t), sqrt(t) w^k)`` with ``w = exp(2 pi i / 3)``, pairs
+each with the four tetrahedral states (a qubit 2-design, so their mean is
+the Haar mean over the second input of any entropy of degree two in it),
+builds every reduced density matrix and takes the mean of ``1 - tr(rho_1^2)``
+over the 12 products, then the mean and ``std(ddof=1)`` over the samples.
+The entropy holds the phase of ``a1`` with frequencies up to 2, which three
+equally spaced phases cancel, so the two must agree to roundoff.  The
+closed form ``(2/9)(1 - |G1|)`` (Balakrishnan & Sankaranarayanan, PRA 82,
+034301 (2010)) is the statistical oracle.
 """
 
 import math
@@ -60,9 +64,25 @@ DESIGN_TOL = 1e-12
 PHASES = np.exp(2j * math.pi * np.arange(3) / 3)
 
 
+def raw_words(samples, seed):
+    """The 64-bit words the kernel takes for ``samples`` draws."""
+    return np.random.default_rng(seed).bit_generator.random_raw(-(-samples // 2))
+
+
+def split_draws(words, samples):
+    """``t = 1/2 + (j + 1/2) 2^-32`` for the signed 32-bit halves ``j`` of
+    ``words``, low half first, the first ``samples`` of them."""
+    t = []
+    for word in words.tolist():
+        for half in (word & 0xFFFFFFFF, word >> 32):
+            j = half - (1 << 32) if half >= 1 << 31 else half
+            t.append(0.5 + (j + 0.5) / 2**32)
+    return np.array(t[:samples])
+
+
 def draws(samples, seed):
     """The kernel's draws of ``t = |a1|^2``."""
-    return np.random.default_rng(seed).random(samples)
+    return split_draws(raw_words(samples, seed), samples)
 
 
 def phase_qubits(t):
@@ -71,9 +91,9 @@ def phase_qubits(t):
     return np.stack([np.broadcast_to(np.sqrt(1.0 - t)[:, None], a1.shape), a1], axis=2)
 
 
-def reference_entangling_power_mc(u, samples, seed):
+def reference_entangling_power_mc(u, samples, seed, t=None):
     u = np.asarray(u, dtype=complex)
-    a = phase_qubits(draws(samples, seed))
+    a = phase_qubits(draws(samples, seed) if t is None else t)
     product = np.einsum("nki,bj->nkbij", a, TETRAHEDRON).reshape(samples, 12, 4)
     m = (product @ u.T).reshape(samples, 12, 2, 2)
     rho1 = np.einsum("nbij,nbkj->nbik", m, m.conj())
@@ -93,21 +113,29 @@ def _assert_matches_reference(u, samples, seed):
     _assert_close(stderr, ref_stderr)
 
 
+class RecordingBitGenerator:
+    """Stands in for the bit generator of ``np.random.default_rng(seed)``:
+    the same words, each array of them it returns recorded in ``words``."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+        self.words = []
+
+    def random_raw(self, size):
+        words = self.bit_generator.random_raw(size)
+        self.words.append(words.copy())
+        return words
+
+
 class RecordingGenerator:
-    """Stands in for ``np.random.default_rng(seed)``: the same draws, and
-    each array it fills, with a copy of what it wrote there, in ``fills``."""
+    """Stands in for ``np.random.default_rng(seed)``."""
 
     def __init__(self, rng):
-        self.rng = rng
-        self.fills = []
-
-    def random(self, *, out):
-        self.rng.random(out=out)
-        self.fills.append((out, out.copy()))
+        self.bit_generator = RecordingBitGenerator(rng.bit_generator)
 
 
-def recorded_draws(samples, seed):
-    """The kernel's fills for one estimate at ``(samples, seed)``."""
+def recorded_words(samples, seed):
+    """The word arrays the kernel takes for one estimate at ``(samples, seed)``."""
     u = random_unitary(np.random.default_rng(seed), 4)
     generators = []
     default_rng = np.random.default_rng
@@ -120,33 +148,38 @@ def recorded_draws(samples, seed):
         patch.setattr(np.random, "default_rng", recording)
         ent.entangling_power_mc(u, samples, seed)
     assert len(generators) == 1
-    return generators[0].fills
+    return generators[0].bit_generator.words
 
 
 def test_draws_of_a_larger_count_start_with_the_smaller_count():
-    n = 3 * ent._MC_CHUNK // 2
-    first = np.concatenate([draw for _, draw in recorded_draws(n, 2022)])
-    larger = np.concatenate([draw for _, draw in recorded_draws(2 * n, 2022)])
-    assert np.array_equal(first, larger[:n])
-    assert np.array_equal(larger, draws(2 * n, 2022))
+    n = 3 * ent._MC_CHUNK // 2 + 1
+    first = np.concatenate(recorded_words(n, 2022))
+    larger = np.concatenate(recorded_words(2 * n, 2022))
+    assert len(first) == (n + 1) // 2 and len(larger) == n
+    assert np.array_equal(first, larger[:len(first)])
+    assert np.array_equal(larger, raw_words(2 * n, 2022))
 
 
 @pytest.mark.parametrize("chunk", [1000, 4096, ent._MC_CHUNK])
 def test_every_sample_is_drawn_once_on_any_chunk_size(chunk, monkeypatch):
-    # The fills are consecutive slices that tile the entropy vector, and
-    # together they are the documented draws.
+    # Each chunk takes the words of its draws, and together they are the
+    # documented words, each taken once.
     monkeypatch.setattr(ent, "_MC_CHUNK", chunk)
     samples = 9 * ent._MC_CHUNK + 3
-    fills = recorded_draws(samples, 0)
-    assert len(fills) == -(-samples // chunk)
-    base = fills[0][0].base
-    offset = 0
-    for out, _ in fills:
-        assert out.base is base and out.__array_interface__["data"][0] == (
-            base.__array_interface__["data"][0] + 8 * offset)
-        offset += len(out)
-    assert offset == samples == len(base)
-    assert np.array_equal(np.concatenate([draw for _, draw in fills]), draws(samples, 0))
+    words = recorded_words(samples, 0)
+    assert [len(w) for w in words] == [chunk // 2] * 9 + [2]
+    assert np.array_equal(np.concatenate(words), raw_words(samples, 0))
+
+
+def test_split_reads_the_low_half_first_as_a_signed_integer():
+    # Words chosen so that each half is its own value: -1 then 1, 0 then
+    # -2^31, 2^31 - 1 then 0; t never reaches 0 or 1.
+    words = np.array([0x00000001FFFFFFFF, 0x8000000000000000, 0x000000007FFFFFFF],
+                     dtype=np.uint64)
+    scale = 2.0**-32
+    expected = [0.5 - 0.5 * scale, 0.5 + 1.5 * scale, 0.5 + 0.5 * scale,
+                0.5 - (2**31 - 0.5) * scale, 1.0 - 0.5 * scale, 0.5 + 0.5 * scale]
+    assert split_draws(words, 6).tolist() == expected
 
 
 def test_phase_averaged_qubits_match_the_haar_second_moment():
@@ -168,8 +201,30 @@ def test_phase_averaged_qubits_match_the_haar_second_moment():
 
 def test_drawn_t_is_uniform():
     stats = pytest.importorskip("scipy.stats")
-    t = np.concatenate([draw for _, draw in recorded_draws(100_000, 7)])
+    t = split_draws(np.concatenate(recorded_words(100_000, 7)), 100_000)
+    assert 0.0 < t.min() and t.max() < 1.0
     assert stats.kstest(t, "uniform").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("samples", [1000, ent._MC_CHUNK + 1])
+def test_estimate_takes_the_first_draws_of_a_larger_count(samples):
+    u = random_unitary(np.random.default_rng(samples), 4)
+    estimate, stderr = ent.entangling_power_mc(u, samples, seed=9)
+    t = draws(3 * samples, seed=9)[:samples]
+    ref_estimate, ref_stderr = reference_entangling_power_mc(u, samples, 9, t=t)
+    _assert_close(estimate, ref_estimate)
+    _assert_close(stderr, ref_stderr)
+
+
+@pytest.mark.parametrize("samples", [1001, 2 * ent._MC_CHUNK + 1])
+def test_odd_count_drops_the_high_half_of_the_last_word(samples):
+    u = random_unitary(np.random.default_rng(samples), 4)
+    estimate, _ = ent.entangling_power_mc(u, samples, seed=10)
+    t = draws(samples + 1, seed=10)
+    low, _ = reference_entangling_power_mc(u, samples, 10, t=t[:-1])
+    high, _ = reference_entangling_power_mc(u, samples, 10, t=np.append(t[:-2], t[-1]))
+    _assert_close(estimate, low)
+    assert abs(estimate - high) > 1e3 * abs(estimate - low)
 
 
 sample_counts = st.integers(min_value=1000, max_value=20_000)
@@ -284,13 +339,24 @@ def no_threads(monkeypatch):
 @pytest.mark.parametrize("samples", [ent._MC_CHUNK + 1, 5 * ent._MC_CHUNK + 17,
                                      13 * ent._MC_CHUNK - 1])
 def test_results_do_not_depend_on_the_chunk_size(samples, monkeypatch):
+    # Every even chunk size takes the same draws; the power sums are added
+    # in another grouping, so the results agree to roundoff.
     u = random_unitary(np.random.default_rng(11), 4)
     results = []
-    for chunk in (1000, 4096, ent._MC_CHUNK, samples):
+    for chunk in (1000, 4096, ent._MC_CHUNK, samples + samples % 2):
         monkeypatch.setattr(ent, "_MC_CHUNK", chunk)
         results.append(ent.entangling_power_mc(u, samples, seed=21))
-    assert all(result == results[0] for result in results)
+    for estimate, stderr in results[1:]:
+        assert abs(estimate - results[0][0]) <= 1e-13 * results[0][0]
+        assert abs(stderr - results[0][1]) <= 1e-13 * results[0][1]
     _assert_matches_reference(u, samples, seed=21)
+
+
+@pytest.mark.parametrize("samples", [1000, ent._MC_CHUNK + 1, 13 * ent._MC_CHUNK - 1])
+def test_reruns_are_bit_identical(samples):
+    u = random_unitary(np.random.default_rng(13), 4)
+    first = ent.entangling_power_mc(u, samples, seed=22)
+    assert all(ent.entangling_power_mc(u, samples, seed=22) == first for _ in range(3))
 
 
 @pytest.mark.parametrize("samples", [5 * ent._MC_CHUNK + 17, 13 * ent._MC_CHUNK - 1])
@@ -434,7 +500,7 @@ def test_estimator_runs_in_a_forked_child():
     assert struct.unpack("dd", payload) == expected
 
 
-def _assert_memory_near_the_draws(samples):
+def _assert_memory_within_the_chunk_buffers(samples):
     u = random_unitary(np.random.default_rng(7), 4)
     tracemalloc.start()
     try:
@@ -442,17 +508,16 @@ def _assert_memory_near_the_draws(samples):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One entropy vector (8 bytes per sample; the draws are made in it and
-    # the standard error is taken in place in it) and one chunk-sized
-    # scratch array (64 kB; about 68 kB above the vector measured).  Taking
-    # std(ddof=1) allocated a second samples-sized vector: 16 MB at
-    # 1,000,000 samples.
-    assert peak < samples * 8 + 200_000
+    # Two chunk-sized float buffers (64 kB each) and the words of one chunk
+    # (32 kB, two arrays of them while the next replaces the last); no
+    # samples-sized array.  Keeping the entropy vector took 8 MB at
+    # 1,000,000 samples, and std(ddof=1) a second one.
+    assert peak < 200_000
 
 
 def test_chunked_kernel_keeps_memory_near_the_draws():
-    _assert_memory_near_the_draws(100_000)
+    _assert_memory_within_the_chunk_buffers(100_000)
 
 
-def test_million_samples_take_one_entropy_vector():
-    _assert_memory_near_the_draws(1_000_000)
+def test_million_samples_keep_memory_within_the_chunk_buffers():
+    _assert_memory_within_the_chunk_buffers(1_000_000)
