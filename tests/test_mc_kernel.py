@@ -508,10 +508,9 @@ def _assert_memory_within_the_chunk_buffers(samples):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Two chunk-sized float buffers (64 kB each) and the words of one chunk
-    # (32 kB, two arrays of them while the next replaces the last); no
-    # samples-sized array.  Keeping the entropy vector took 8 MB at
-    # 1,000,000 samples, and std(ddof=1) a second one.
+    # One (2, chunk) float buffer of j and j^2 (128 kB) and the words of one
+    # chunk (32 kB); about 167 kB measured, and no samples-sized array.  An
+    # entropy vector took 8 MB at 1,000,000 samples.
     assert peak < 200_000
 
 
