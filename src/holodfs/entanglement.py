@@ -62,7 +62,8 @@ MC_SAMPLES = 100_000
 # chunk takes whole 64-bit words and the draws do not depend on it.  Its
 # buffer of j and j^2 takes 128 kB, so a chunk's working set stays in
 # cache, and it stays below the 10,000 elements from which OpenBLAS threads
-# a dot product (32768 samples per chunk lost the speed of this kernel).
+# a dot product (in the bench, 32768 samples per chunk lost this kernel's
+# gain).
 _MC_CHUNK = 8192
 # A draw t = 1/2 + (j + 1/2) 2^-32 of a signed 32-bit integer j is
 # _MC_CENTER + j _MC_SCALE, both terms exact.
