@@ -1,7 +1,8 @@
-"""The benchmark recorder's summary and comparison, on hand-made records."""
+"""The benchmark recorder's summary, comparison and ``dirty`` check, without running a bench."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,21 @@ def test_flags_a_rising_failed_share():
                                 record(700.0, failed=1, attempted=150), SPEC) == []
     assert bench_record.compare(record(700.0), record(700.0, failed=1),
                                 SPEC) == ["synthesize failed"]
+
+
+def test_dirty_reads_only_what_the_benchmark_runs(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                        "-c", "user.email=t@t", *args], check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    (tmp_path / "README.md").write_text("readme\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "c")
+    assert not bench_record.dirty(tmp_path)
+    (tmp_path / "README.md").write_text("changed\n")
+    assert not bench_record.dirty(tmp_path)
+    (tmp_path / "src" / "m.py").write_text("x = 2\n")
+    assert bench_record.dirty(tmp_path)

@@ -441,6 +441,19 @@ class TestDiscretizedHolonomy:
         assert e1 < 1e-2
         assert e1 / e2 == pytest.approx(2.0, abs=0.1)
 
+    @pytest.mark.parametrize("effective", [True, False], ids=["effective", "full"])
+    @pytest.mark.parametrize("theta_tilde", [0.6, 1.2])
+    def test_two_qubit_loop_converges_first_order(self, theta_tilde, effective):
+        # The 6-dim sector and the 16-dim space, each with its 4-dim logical frame.
+        g = ho.GateParams2Q(theta_tilde)
+        h = effective_h2(g) if effective else g.hamiltonian()
+        frame = g.frames(effective)[1]
+        exact = ho.evolve_and_project(h, frame, g.tau).holonomy
+        e1 = np.linalg.norm(ho.discretized_holonomy(h, frame, g.tau, 1000) - exact)
+        e2 = np.linalg.norm(ho.discretized_holonomy(h, frame, g.tau, 2000) - exact)
+        assert e1 < 1e-2
+        assert e1 / e2 == pytest.approx(2.0, abs=0.1)
+
     def test_matches_analytic_gate_at_fine_resolution(self):
         g = ho.params_for_rotation(3 * math.pi / 4, math.pi)
         h = effective_h1(g)

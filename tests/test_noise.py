@@ -316,3 +316,58 @@ class TestRunSweep:
         )
         table = noise.run_sweep(spec)
         assert np.all(table.fidelity > 0.9)
+
+
+# Loops of the DM sign relation: the two presets, one custom single-qubit loop
+# and the two-qubit loop at two coupling-ratio angles.
+_SIGN_LOOPS = {
+    "hadamard": loop_target(gate="hadamard"),
+    "pi8": loop_target(gate="pi8"),
+    "custom": loop_target(1.0, 2.0),
+    "two_qubit-0.6": loop_target(theta_tilde=0.6),
+    "two_qubit-1.2": loop_target(theta_tilde=1.2),
+}
+
+
+def _sweep_fidelity(loop) -> np.ndarray:
+    return noise.run_sweep(noise.SweepSpec(loop, steps_per_axis=9)).fidelity
+
+
+class TestDMSymmetries:
+    # Relations between DM configurations that hold at roundoff, so they need
+    # no reference values.
+
+    @settings(deadline=None, max_examples=100)
+    @given(name=st.sampled_from(sorted(_SIGN_LOOPS)),
+           d1=st.floats(-1.0, 1.0), d2=st.floats(-1.0, 1.0))
+    def test_global_dm_sign_flip_leaves_the_fidelity(self, name, d1, d2):
+        # F(d1, d2) = F(-d1, -d2) through the full-space route, for DM strengths
+        # up to omega; perturbed_gate_* takes only positive ratios.
+        g, ideal = _SIGN_LOOPS[name]
+        h0, g1, g2 = g.terms()
+        logical = g.frames()[1]
+
+        def fidelity(s1, s2):
+            report = holonomy.evolve_and_project(h0 + s1 * g1 + s2 * g2, logical, g.tau,
+                                                 samples=2)
+            return noise.gate_fidelity(ideal, report.holonomy)
+
+        assert abs(fidelity(d1, d2) - fidelity(-d1, -d2)) <= 1e-14
+
+    @settings(deadline=None, max_examples=50)
+    @given(theta=st.floats(0.0, math.pi), gamma=st.floats(0.0, 2 * math.pi))
+    def test_chain_mirror_swaps_the_bonds(self, theta, gamma):
+        # Mirroring the chain maps the axis angle theta to pi - theta and
+        # swaps the two bonds: F_theta(r1, r2) = F_{pi - theta}(r2, r1).
+        table = _sweep_fidelity(loop_target(theta, gamma))
+        mirrored = _sweep_fidelity(loop_target(math.pi - theta, gamma))
+        assert np.max(np.abs(table - mirrored.T)) <= 1e-14
+
+    @pytest.mark.parametrize("theta_tilde", [0.6, 1.2])
+    def test_two_qubit_loop_has_no_plain_mirror(self, theta_tilde):
+        # Neither swapping the bonds nor also reflecting the coupling ratio
+        # maps the two-qubit sweep onto itself.
+        table = _sweep_fidelity(loop_target(theta_tilde=theta_tilde))
+        reflected = _sweep_fidelity(loop_target(theta_tilde=math.pi / 2 - theta_tilde))
+        assert np.max(np.abs(table - table.T)) > 1e-3
+        assert np.max(np.abs(table - reflected.T)) > 1e-3

@@ -8,9 +8,9 @@ Recording runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` in the checkout (``--root``, default: this repository) once per
 seed of a fixed list, for every workload ``BENCHMARK.json`` declares, and
 keeps each run's ``facts`` line and final JSON line.  The record holds the
-git commit (and whether tracked files differed from it), the runs, the
-per-workload median and quartiles of every end-to-end metric, and
-``failed``/``attempted`` summed over the runs.
+git commit (and whether tracked files under ``BENCHED_PATHS`` differed from
+it), the runs, the per-workload median and quartiles of every end-to-end
+metric, and ``failed``/``attempted`` summed over the runs.
 
 Comparing prints, per workload and metric, the ratio of the new median to
 the old one with both bases, and flags every metric whose new median is
@@ -33,11 +33,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Seeds per workload: fixed, so records of two commits run the same inputs.
 SEEDS = (21, 22, 23, 24, 25)
+# What a bench run executes or reads; a change elsewhere (docs) leaves a record clean.
+BENCHED_PATHS = ("src", "bench", "tools", "BENCHMARK.json")
 
 
 def _git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args],
                           capture_output=True, text=True).stdout.strip()
+
+
+def dirty(root: Path) -> bool:
+    """Whether tracked files that the benchmark runs differ from ``HEAD`` in ``root``."""
+    return bool(_git(root, "status", "--porcelain", "--untracked-files=no", "--",
+                     *BENCHED_PATHS))
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -86,9 +94,7 @@ def record(root: Path, spec: dict, seeds, seconds: float) -> dict:
                         for name in runs[0]["metrics"]},
             "runs": runs,
         }
-    # ``dirty``: tracked files differed from ``commit`` when the record was made.
-    return {"commit": _git(root, "rev-parse", "HEAD") or None,
-            "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
+    return {"commit": _git(root, "rev-parse", "HEAD") or None, "dirty": dirty(root),
             "command": spec["command"], "seconds": seconds, "seeds": list(seeds),
             "workloads": workloads}
 
