@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 flag/precondition validation, 3 tolerance breach,
 from __future__ import annotations
 
 import argparse
+import collections
 import copy
 import functools
 import json
@@ -54,6 +55,8 @@ TOLERANCES = {
 
 OUTPUT_DIR_ENV = "HOLODFS_OUTPUT_DIR"
 
+_quote = json.encoder.encode_basestring_ascii
+
 
 class CommandError(Exception):
     """CLI failure carrying its exit code."""
@@ -61,25 +64,6 @@ class CommandError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _encode(value):
-    """Recursively convert a payload into JSON-serializable primitives.
-
-    Complex numbers become ``[re, im]`` pairs; negative zeros are
-    normalized away so equivalent payloads serialize identically.
-    """
-    if isinstance(value, complex):
-        return [float(value.real) + 0.0, float(value.imag) + 0.0]
-    if isinstance(value, float):
-        return value + 0.0
-    if isinstance(value, np.ndarray):
-        return _encode(value.tolist())
-    if isinstance(value, dict):
-        return {key: _encode(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -111,7 +95,49 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(_encode(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The payload as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)`` writes it.
+
+    One pass; complex numbers become ``[re, im]``, arrays lists and ``-0.0`` ``0.0``.
+    """
+    parts = []
+    write = parts.append
+
+    def number(x):
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        return float.__repr__(x + 0.0)
+
+    def emit(value, newline):
+        if isinstance(value, float):
+            write(number(value))
+        elif isinstance(value, complex):
+            inner = newline + "  "
+            write(f"[{inner}{number(value.real)},{inner}{number(value.imag)}{newline}]")
+        elif isinstance(value, str):
+            write(_quote(value))
+        elif isinstance(value, (dict, list, tuple)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                write("{}" if is_dict else "[]")
+                return
+            inner, opener = newline + "  ", "{" if is_dict else "["
+            for index, key in enumerate(sorted(value) if is_dict else value):
+                write(("," if index else opener) + inner)
+                if is_dict:
+                    write(_quote(key) + ": ")
+                emit(value[key] if is_dict else key, inner)
+            write(newline + ("}" if is_dict else "]"))
+        elif value is None or value is True or value is False:
+            write("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            write(int.__repr__(value))
+        elif isinstance(value, np.ndarray):
+            emit(value.tolist(), newline)
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    emit(payload, "\n")
+    return "".join(parts) + "\n"
 
 
 # The GateReport fields that verify checks against TOLERANCES.
@@ -350,6 +376,88 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading plain lines from ``table`` (see ``_plain``).
+
+    Every refusal is one ``holodfs <cmd>: <message>`` line with exit 2.
+    """
+
+    table = {}  # Subcommand -> _Grammar, on the root parser.
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        parsed = _plain(self.table, args) if namespace is None else None
+        if parsed is None:
+            parsed, extras = self.parse_known_args(args, namespace)
+            if extras:
+                grammar = self.table.get(getattr(parsed, "command", None))
+                (grammar.parser if grammar else self).error(
+                    f"unrecognized arguments: {' '.join(extras)}")
+        return parsed
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"{self.prog}: {message}\n")
+
+
+# A subcommand's grammar, read off its argparse actions: option string ->
+# action, namespace defaults, positional, required actions, exclusive groups.
+_Grammar = collections.namedtuple(
+    "_Grammar", "parser options defaults positional required groups")
+
+
+def _read_table(parser: argparse.ArgumentParser) -> dict:
+    (commands,) = parser._subparsers._group_actions
+    table = {}
+    for name, sub in commands.choices.items():
+        actions = [a for a in sub._actions if a.default is not argparse.SUPPRESS]
+        # Options of other kinds, and a second positional, are left to argparse.
+        plain = [a for a in actions if a.nargs in (None, 0) and type(a) in
+                 (argparse._StoreAction, argparse._StoreTrueAction)]
+        table[name] = _Grammar(
+            sub, {option: a for a in plain for option in a.option_strings},
+            {**sub._defaults, **{a.dest: a.default for a in actions}, commands.dest: name},
+            next((a for a in plain if not a.option_strings), None),
+            {a for a in actions if a.required},
+            [set(group._group_actions) for group in sub._mutually_exclusive_groups])
+    return table
+
+
+def _plain(table: dict, argv: list):
+    """The namespace of a plain ``argv``, or None for argparse to parse it.
+
+    A plain line is a subcommand, then exact option strings, each at most once
+    and followed by one value not starting with ``-`` (a flag by none), and the
+    positional; values pass ``type`` and ``choices``, and the line sets every
+    required action and no exclusive pair.  ``--help`` and refusals are argparse's.
+    """
+    grammar = table.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    values, seen, words = dict(grammar.defaults), set(), iter(argv[1:])
+    for word in words:
+        action = grammar.options.get(word, grammar.positional)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        if action.option_strings:
+            word = next(words, "-")
+        if word.startswith("-"):
+            return None
+        try:
+            value = word if action.type is None else action.type(word)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not grammar.required <= seen or any(len(group & seen) > 1 for group in grammar.groups):
+        return None
+    return argparse.Namespace(**values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``holodfs`` argument parser.
 
@@ -361,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holodfs",
         description="Holonomic gates in decoherence-free subspaces of XY chains",
     )
@@ -440,6 +548,7 @@ def _parser() -> argparse.ArgumentParser:
     w.add_argument("--out", help="output file (default: stdout)")
     w.set_defaults(func=cmd_sweep)
 
+    parser.table = _read_table(parser)
     return parser
 
 

@@ -1,4 +1,7 @@
-"""The benchmark recorder's summary, comparison and ``dirty`` check, without running a bench."""
+"""The benchmark recorder's summary, comparison, ``dirty`` check and staging.
+
+None of the tests runs a bench.
+"""
 
 import importlib.util
 import json
@@ -54,19 +57,64 @@ def test_flags_a_rising_failed_share():
                                 SPEC) == ["synthesize failed"]
 
 
-def test_dirty_reads_only_what_the_benchmark_runs(tmp_path):
+def _repository(path):
+    """A git repository at ``path`` with ``src/m.py`` and ``README.md`` committed."""
     def git(*args):
-        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+        subprocess.run(["git", "-C", str(path), "-c", "user.name=t",
                         "-c", "user.email=t@t", *args], check=True, capture_output=True)
 
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "m.py").write_text("x = 1\n")
-    (tmp_path / "README.md").write_text("readme\n")
+    (path / "src").mkdir(parents=True)
+    (path / "src" / "m.py").write_text("x = 1\n")
+    (path / "README.md").write_text("readme\n")
     git("init", "-q")
     git("add", "-A")
     git("commit", "-q", "-m", "c")
+
+
+def test_dirty_reads_only_what_the_benchmark_runs(tmp_path):
+    _repository(tmp_path)
     assert not bench_record.dirty(tmp_path)
     (tmp_path / "README.md").write_text("changed\n")
     assert not bench_record.dirty(tmp_path)
     (tmp_path / "src" / "m.py").write_text("x = 2\n")
     assert bench_record.dirty(tmp_path)
+
+
+def test_stage_is_a_fresh_checkout_of_head_removed_afterwards(tmp_path):
+    root, stages = tmp_path / "repo", tmp_path / "stages"
+    _repository(root)
+    stages.mkdir()
+    (root / "src" / "m.py").write_text("x = 2\n")  # uncommitted: not staged
+    with bench_record.staged(root, stages) as stage:
+        assert stage.parent == stages and stage.name.startswith("holodfs-stage-")
+        assert (stage / "src" / "m.py").read_text() == "x = 1\n"
+        assert not bench_record.dirty(stage)
+        assert bench_record._git(stage, "rev-parse", "HEAD") == bench_record._git(
+            root, "rev-parse", "HEAD")
+        (stage / ".bench_out").mkdir()  # what a bench run leaves behind
+        (stage / ".bench_out" / "out.json").write_text("{}\n")
+    assert list(stages.iterdir()) == []
+    assert len(bench_record._git(root, "worktree", "list").splitlines()) == 1
+
+
+def test_filesystem_is_the_one_of_the_longest_mount_point():
+    mounts = ("/dev/vda / ext4 rw 0 0\n"
+              "tmpfs /dev/shm tmpfs rw 0 0\n"
+              "tmpfs /dev/shm\\040x tmpfs rw 0 0\n"
+              "proc /proc proc rw 0 0\n")
+    assert bench_record.filesystem(Path("/dev/shm/holodfs-stage-1"), mounts) == "tmpfs"
+    assert bench_record.filesystem(Path("/dev/shm x/a"), mounts) == "tmpfs"
+    assert bench_record.filesystem(Path("/dev/shmem"), mounts) == "ext4"
+    assert bench_record.filesystem(Path("/root/repo"), mounts) == "ext4"
+    assert bench_record.filesystem(Path("/root"), "") == "unknown"
+
+
+def test_compare_warns_when_records_were_staged_differently(capsys):
+    disk, tmpfs = record(700.0), record(700.0)
+    tmpfs["stage"] = {"path": "/dev/shm/holodfs-stage-1", "filesystem": "tmpfs"}
+    other = dict(tmpfs, stage={"path": "/dev/shm/holodfs-stage-2", "filesystem": "tmpfs"})
+    assert bench_record.compare(tmpfs, other, SPEC) == []
+    assert "WARNING" not in capsys.readouterr().out
+    assert bench_record.compare(disk, tmpfs, SPEC) == []  # a warning, not a flag
+    assert ("WARNING: old record not staged, new record staged on tmpfs"
+            in capsys.readouterr().out)

@@ -301,21 +301,32 @@ class TestTargetFlagGrammar:
 
 
 def test_no_numpy_scalar_reaches_the_encoder(tmp_path, monkeypatch):
-    # _encode has branches for Python numbers and arrays only; a numpy
-    # scalar in a report would reach json.dumps unconverted.
+    # The JSON writer has branches for Python numbers and arrays only; a numpy
+    # scalar in a report would be refused (np.bool_, np.int64) or written
+    # through a float subclass (np.float64).
     matrix_path = tmp_path / "cnot.json"
     write_matrix(matrix_path, CNOT)
     seen = []
-    encode = cli._encode
-    monkeypatch.setattr(cli, "_encode", lambda value: seen.append(value) or encode(value))
+    write = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda payload: seen.append(payload) or write(payload))
+
+    def leaves(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            return [leaf for item in value for leaf in leaves(item)]
+        return [value]
+
     for argv in (["synth-1q", "--theta", "0.8", "--gamma", "2.4", "--m", "2"],
                  ["synth-2q", "--theta-tilde", "0.6", "--mc-samples", "1000"],
                  ["verify", "--gate", "hadamard"],
                  ["classify", str(matrix_path), "--samples", "1000"]):
         before = len(seen)
         assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
-        assert len(seen) > before
-    assert [type(v) for v in seen if isinstance(v, np.generic)] == []
+        assert len(seen) == before + 1
+    values = [leaf for payload in seen for leaf in leaves(payload)]
+    assert len(values) > 100
+    assert [type(v) for v in values if isinstance(v, np.generic)] == []
 
 
 class TestClassify:
@@ -957,7 +968,9 @@ class TestParserReuse:
         assert run(["sweep", "--gate", "bogus"]) == 2
         second = capsys.readouterr()
         assert second == first
-        assert second.err.startswith("usage: holodfs sweep [-h] --gate")
+        # One line, as every refusal of main is.
+        assert second.err.startswith("holodfs sweep: argument --gate: invalid choice: 'bogus'")
+        assert second.err.count("\n") == 1 and second.err.endswith("\n")
 
     def test_build_parser_returns_a_distinct_parser_each_call(self):
         first, second = cli.build_parser(), cli.build_parser()

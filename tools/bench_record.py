@@ -2,6 +2,7 @@
 
     python3 tools/bench_record.py --tag 12
     python3 tools/bench_record.py --tag smoke --seconds 1 --seeds 1 --out /tmp/smoke.json
+    python3 tools/bench_record.py --tag 28_tmpfs --stage /dev/shm
     python3 tools/bench_record.py --compare BENCH_baseline.json BENCH_12.json
 
 Recording runs ``python3 bench/run.py --workload W --seed S --seconds T
@@ -10,13 +11,18 @@ seed of a fixed list, for every workload ``BENCHMARK.json`` declares, and
 keeps each run's ``facts`` line and final JSON line.  The record holds the
 git commit (and whether tracked files under ``BENCHED_PATHS`` differed from
 it), the runs, the per-workload median and quartiles of every end-to-end
-metric, and ``failed``/``attempted`` summed over the runs.
+metric, and ``failed``/``attempted`` summed over the runs.  With ``--stage
+DIR`` the runs happen in a detached checkout of the ``HEAD`` of ``--root``,
+made in a fresh directory under ``DIR`` and removed afterwards; the record
+names that directory and the type of its filesystem (from ``/proc/mounts``),
+because the benchmark writes every output file under its checkout.
 
 Comparing prints, per workload and metric, the ratio of the new median to
 the old one with both bases, and flags every metric whose new median is
 worse than the old one by more than its ``BENCHMARK.json`` bound (relative
 to the old median), and every workload whose share of failed commands rose.
-The exit code is 1 when anything is flagged, or when a run fails.
+It warns when the two records were staged differently.  The exit code is 1
+when anything is flagged, or when a run fails.
 
 Standard library only.
 """
@@ -24,10 +30,13 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +55,41 @@ def dirty(root: Path) -> bool:
     """Whether tracked files that the benchmark runs differ from ``HEAD`` in ``root``."""
     return bool(_git(root, "status", "--porcelain", "--untracked-files=no", "--",
                      *BENCHED_PATHS))
+
+
+def filesystem(path: Path, mounts: str | None = None) -> str:
+    """The type of the filesystem that holds ``path``, from ``mounts`` (default: /proc/mounts)."""
+    if mounts is None:
+        try:
+            mounts = Path("/proc/mounts").read_text()
+        except OSError:
+            return "unknown"
+    depth, kind = -1, "unknown"
+    for line in mounts.splitlines():
+        _, point, fstype, *_ = line.split()
+        point = Path(point.replace("\\040", " "))  # /proc/mounts writes a space as \040
+        if (point == path or point in path.parents) and len(point.parts) > depth:
+            depth, kind = len(point.parts), fstype
+    return kind
+
+
+@contextlib.contextmanager
+def staged(root: Path, directory: Path):
+    """A detached worktree of ``HEAD`` of ``root``, in a fresh directory under ``directory``."""
+    stage = Path(tempfile.mkdtemp(prefix="holodfs-stage-", dir=directory))
+    try:
+        subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", "--quiet",
+                        str(stage), "HEAD"], check=True, capture_output=True)
+        yield stage
+    finally:
+        subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(stage)],
+                       capture_output=True)
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def staging(record: dict) -> str:
+    stage = record.get("stage")
+    return f"staged on {stage['filesystem']}" if stage else "not staged"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -104,6 +148,9 @@ def compare(old: dict, new: dict, spec: dict) -> list[str]:
     bounds = {metric["name"]: metric for metric in spec["end_to_end"]}
     flagged = []
     print(f"old {old.get('commit')} -> new {new.get('commit')}")
+    if staging(old) != staging(new):
+        print(f"WARNING: old record {staging(old)}, new record {staging(new)}; "
+              "the output files' filesystem is part of every timing")
     for workload, after in new["workloads"].items():
         before = old["workloads"].get(workload)
         if before is None:
@@ -144,6 +191,8 @@ def main(argv=None) -> int:
                         help="compare two records")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout to benchmark (default: this repository)")
+    parser.add_argument("--stage", type=Path, metavar="DIR",
+                        help="benchmark HEAD of --root in a fresh checkout under DIR")
     parser.add_argument("--seconds", type=float, default=20.0, help="seconds per run")
     parser.add_argument("--seeds", default=",".join(map(str, SEEDS)),
                         help="comma-separated seeds, run for every workload")
@@ -159,7 +208,11 @@ def main(argv=None) -> int:
         return 1 if flagged else 0
 
     seeds = [int(seed) for seed in args.seeds.split(",")]
-    result = {"tag": args.tag, **record(args.root.resolve(), spec, seeds, args.seconds)}
+    root = args.root.resolve()
+    stager = staged(root, args.stage.resolve()) if args.stage else contextlib.nullcontext(root)
+    with stager as where:
+        stage = {"path": str(where), "filesystem": filesystem(where)} if args.stage else None
+        result = {"tag": args.tag, "stage": stage, **record(where, spec, seeds, args.seconds)}
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
