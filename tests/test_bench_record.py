@@ -105,8 +105,8 @@ def test_filesystem_is_the_one_of_the_longest_mount_point():
     assert bench_record.filesystem(Path("/dev/shm/holodfs-stage-1"), mounts) == "tmpfs"
     assert bench_record.filesystem(Path("/dev/shm x/a"), mounts) == "tmpfs"
     assert bench_record.filesystem(Path("/dev/shmem"), mounts) == "ext4"
-    assert bench_record.filesystem(Path("/root/repo"), mounts) == "ext4"
-    assert bench_record.filesystem(Path("/root"), "") == "unknown"
+    assert bench_record.filesystem(Path("/home/user/holodfs"), mounts) == "ext4"
+    assert bench_record.filesystem(Path("/home"), "") == "unknown"
 
 
 def test_compare_warns_when_records_were_staged_differently(capsys):
