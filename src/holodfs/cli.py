@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 flag/precondition validation, 3 tolerance breach,
 from __future__ import annotations
 
 import argparse
-import collections
 import copy
 import functools
 import json
@@ -55,9 +54,6 @@ TOLERANCES = {
 
 OUTPUT_DIR_ENV = "HOLODFS_OUTPUT_DIR"
 
-_quote = json.encoder.encode_basestring_ascii
-
-
 class CommandError(Exception):
     """CLI failure carrying its exit code."""
 
@@ -95,11 +91,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    """The payload as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)`` writes it.
-
-    One pass; complex numbers become ``[re, im]``, arrays lists and ``-0.0`` ``0.0``.
-    """
-    parts = []
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` in one pass,
+    with complex numbers as ``[re, im]``, arrays as lists and ``-0.0`` as ``0.0``."""
+    parts, quote = [], json.encoder.encode_basestring_ascii
     write = parts.append
 
     def number(x):
@@ -114,25 +108,21 @@ def _json_text(payload: dict) -> str:
             inner = newline + "  "
             write(f"[{inner}{number(value.real)},{inner}{number(value.imag)}{newline}]")
         elif isinstance(value, str):
-            write(_quote(value))
+            write(quote(value))
         elif isinstance(value, (dict, list, tuple)):
-            is_dict = isinstance(value, dict)
-            if not value:
-                write("{}" if is_dict else "[]")
-                return
-            inner, opener = newline + "  ", "{" if is_dict else "["
+            is_dict, inner = isinstance(value, dict), newline + "  "
+            opener, closer = "{}" if is_dict else "[]"
             for index, key in enumerate(sorted(value) if is_dict else value):
-                write(("," if index else opener) + inner)
-                if is_dict:
-                    write(_quote(key) + ": ")
+                head = ("," if index else opener) + inner
+                write(head + quote(key) + ": " if is_dict else head)
                 emit(value[key] if is_dict else key, inner)
-            write(newline + ("}" if is_dict else "]"))
+            write(newline + closer if value else opener + closer)
+        elif isinstance(value, np.ndarray):
+            emit(value.tolist(), newline)
         elif value is None or value is True or value is False:
             write("null" if value is None else "true" if value else "false")
         elif isinstance(value, int):
             write(int.__repr__(value))
-        elif isinstance(value, np.ndarray):
-            emit(value.tolist(), newline)
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -377,21 +367,15 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, reading plain lines from ``table`` (see ``_plain``).
-
-    Every refusal is one ``holodfs <cmd>: <message>`` line with exit 2.
-    """
-
-    table = {}  # Subcommand -> _Grammar, on the root parser.
+    """argparse; a plain line is read from ``table`` (``_plain``), a refusal is one line."""
 
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         parsed = _plain(self.table, args) if namespace is None else None
         if parsed is None:
             parsed, extras = self.parse_known_args(args, namespace)
-            if extras:
-                grammar = self.table.get(getattr(parsed, "command", None))
-                (grammar.parser if grammar else self).error(
+            if extras:  # refused by the subcommand's parser, so that the line names it
+                self._subparsers._group_actions[0].choices[parsed.command].error(
                     f"unrecognized arguments: {' '.join(extras)}")
         return parsed
 
@@ -399,63 +383,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: {message}\n")
 
 
-# A subcommand's grammar, read off its argparse actions: option string ->
-# action, namespace defaults, positional, required actions, exclusive groups.
-_Grammar = collections.namedtuple(
-    "_Grammar", "parser options defaults positional required groups")
-
-
-def _read_table(parser: argparse.ArgumentParser) -> dict:
-    (commands,) = parser._subparsers._group_actions
-    table = {}
-    for name, sub in commands.choices.items():
-        actions = [a for a in sub._actions if a.default is not argparse.SUPPRESS]
-        # Options of other kinds, and a second positional, are left to argparse.
-        plain = [a for a in actions if a.nargs in (None, 0) and type(a) in
-                 (argparse._StoreAction, argparse._StoreTrueAction)]
-        table[name] = _Grammar(
-            sub, {option: a for a in plain for option in a.option_strings},
-            {**sub._defaults, **{a.dest: a.default for a in actions}, commands.dest: name},
+def _grammar(parser: argparse.ArgumentParser, command: dict) -> tuple:
+    """A subcommand's grammar, read off its argparse actions: option string -> action,
+    namespace defaults (with ``command``), positional, required actions, exclusive groups."""
+    actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]
+    # Options of other kinds, and a second positional, are left to argparse.
+    plain = [a for a in actions if a.nargs in (None, 0) and type(a) in
+             (argparse._StoreAction, argparse._StoreTrueAction)]
+    return ({option: a for a in plain for option in a.option_strings},
+            {**parser._defaults, **{a.dest: a.default for a in actions}, **command},
             next((a for a in plain if not a.option_strings), None),
             {a for a in actions if a.required},
-            [set(group._group_actions) for group in sub._mutually_exclusive_groups])
-    return table
+            [set(group._group_actions) for group in parser._mutually_exclusive_groups])
 
 
 def _plain(table: dict, argv: list):
-    """The namespace of a plain ``argv``, or None for argparse to parse it.
-
-    A plain line is a subcommand, then exact option strings, each at most once
-    and followed by one value not starting with ``-`` (a flag by none), and the
-    positional; values pass ``type`` and ``choices``, and the line sets every
-    required action and no exclusive pair.  ``--help`` and refusals are argparse's.
-    """
-    grammar = table.get(argv[0]) if argv else None
-    if grammar is None:
+    """The namespace of a plain ``argv``, or None for argparse to parse it: a subcommand,
+    then exact option strings, each at most once with one value not starting with ``-``
+    (a flag with none), and the positional; values pass ``type`` and ``choices``, every
+    required action is set and no exclusive pair.  ``--help`` and refusals are argparse's."""
+    if not argv or argv[0] not in table:
         return None
-    values, seen, words = dict(grammar.defaults), set(), iter(argv[1:])
+    options, defaults, positional, required, groups = table[argv[0]]
+    values, seen, words = dict(defaults), set(), iter(argv[1:])
     for word in words:
-        action = grammar.options.get(word, grammar.positional)
+        action = options.get(word, positional)
         if action is None or action in seen:
             return None
         seen.add(action)
         if action.nargs == 0:
             values[action.dest] = action.const
             continue
-        if action.option_strings:
-            word = next(words, "-")
-        if word.startswith("-"):
-            return None
+        word = next(words, "-") if action.option_strings else word
         try:
             value = word if action.type is None else action.type(word)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if word.startswith("-") or action.choices is not None and value not in action.choices:
             return None
         values[action.dest] = value
-    if not grammar.required <= seen or any(len(group & seen) > 1 for group in grammar.groups):
-        return None
-    return argparse.Namespace(**values)
+    if required <= seen and all(len(group & seen) < 2 for group in groups):
+        return argparse.Namespace(**values)
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,7 +517,7 @@ def _parser() -> argparse.ArgumentParser:
     w.add_argument("--out", help="output file (default: stdout)")
     w.set_defaults(func=cmd_sweep)
 
-    parser.table = _read_table(parser)
+    parser.table = {name: _grammar(p, {sub.dest: name}) for name, p in sub.choices.items()}
     return parser
 
 

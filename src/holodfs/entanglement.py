@@ -179,10 +179,7 @@ def _weyl_coordinates(
     s = sorted(((v + 2.0 if v <= -0.5 else v) / 2.0
                 for v in (np.angle(ev) / math.pi).tolist()), reverse=True)
     n = round(sum(s))
-    if n < 0:
-        s = [v + 1.0 for v in s[n:]] + s[:n]
-    else:
-        s = s[n:] + [v - 1.0 for v in s[:n]]
+    s = s[n:] + [v - 1.0 for v in s[:n]] if n >= 0 else [v + 1.0 for v in s[n:]] + s[:n]
     c1, c2, c3 = 0.0 + s[0] + s[1], s[0] + s[2], s[1] + s[2]
     if c3 < -1e-9:
         c1, c3 = 1.0 - c1, -c3

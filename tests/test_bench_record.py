@@ -97,6 +97,32 @@ def test_stage_is_a_fresh_checkout_of_head_removed_afterwards(tmp_path):
     assert len(bench_record._git(root, "worktree", "list").splitlines()) == 1
 
 
+def test_main_records_in_the_stage_and_names_it(tmp_path, monkeypatch):
+    root, stages, out = tmp_path / "repo", tmp_path / "stages", tmp_path / "BENCH_t.json"
+    _repository(root)
+    stages.mkdir()
+    seen = []
+
+    def fake_record(where, spec, seeds, seconds):
+        seen.append(where)
+        assert (where / "src" / "m.py").read_text() == "x = 1\n"
+        return {"commit": bench_record._git(where, "rev-parse", "HEAD"), "dirty": False,
+                "workloads": {}}
+
+    monkeypatch.setattr(bench_record, "record", fake_record)
+    monkeypatch.setattr(bench_record, "filesystem", lambda path: f"fs of {path.name}")
+    assert bench_record.main(["--tag", "t", "--root", str(root), "--stage", str(stages),
+                              "--seeds", "1", "--out", str(out)]) == 0
+    (stage,) = seen
+    assert stage.parent == stages.resolve() and list(stages.iterdir()) == []
+    written = json.loads(out.read_text())
+    assert written["stage"] == {"path": str(stage), "filesystem": f"fs of {stage.name}"}
+    assert written["commit"] == bench_record._git(root, "rev-parse", "HEAD")
+    assert bench_record.main(["--tag", "t", "--root", str(root), "--seeds", "1",
+                              "--out", str(out)]) == 0
+    assert seen[1] == root.resolve() and json.loads(out.read_text())["stage"] is None
+
+
 def test_filesystem_is_the_one_of_the_longest_mount_point():
     mounts = ("/dev/vda / ext4 rw 0 0\n"
               "tmpfs /dev/shm tmpfs rw 0 0\n"

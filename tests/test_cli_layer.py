@@ -75,15 +75,15 @@ def _argvs(draw):
     flags set together; the others have hostile values and odd words.
     """
     command = draw(st.sampled_from(sorted(TABLE)))
-    grammar = TABLE[command]
+    options, _, positional, required, _ = TABLE[command]
     argv, hostile = [command], draw(st.booleans())
-    for option in draw(st.permutations(sorted(grammar.options))):
-        action = grammar.options[option]
-        if (action in grammar.required and draw(st.integers(0, 5))) or draw(st.booleans()):
+    for option in draw(st.permutations(sorted(options))):
+        action = options[option]
+        if (action in required and draw(st.integers(0, 5))) or draw(st.booleans()):
             argv += [option] + ([] if action.nargs == 0 else [draw(_value(action, hostile))])
-    if grammar.positional is not None and draw(st.integers(0, 5)):
-        argv.insert(draw(st.integers(1, len(argv))), draw(_value(grammar.positional, hostile)))
-    option = st.sampled_from(sorted(grammar.options))
+    if positional is not None and draw(st.integers(0, 5)):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_value(positional, hostile)))
+    option = st.sampled_from(sorted(options))
     odd = st.one_of(
         option.map(lambda o: [o]),                                          # repeat, or no value
         st.tuples(option, _hostile).map(list),
