@@ -293,10 +293,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _refuse_constant(name: str):
+    # NaN, Infinity and -Infinity, which json accepts but are not JSON numbers.
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_matrix(path: str) -> np.ndarray:
     try:
         with open(path) as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=_refuse_constant)
     except OSError as exc:
         raise CommandError(f"cannot read matrix file {path}: {exc}", EXIT_PARSE)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert

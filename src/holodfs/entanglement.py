@@ -16,9 +16,9 @@ al. (PRA 68, 052311 (2003)).  Conventions that the numbers depend on:
 The entangling power (Zanardi, Zalka & Faoro, PRA 62, 030301 (2000)) is a
 seeded Monte-Carlo estimate that samples only ``t = |a1|^2`` of the first
 input qubit and averages the rest of the product input in closed form, so
-that a sample is a quadratic in ``t``; the estimate and its standard error
-are taken from four running power sums of the draws
-(``entangling_power_mc``).
+that a sample is a quadratic in ``t``; the estimate is taken from two
+running power sums of the draws and its standard error from the quadratic's
+exact variance (``entangling_power_mc``).
 """
 
 from __future__ import annotations
@@ -60,10 +60,9 @@ MAX_MC_SAMPLES = 10_000_000
 MC_SAMPLES = 100_000
 # Samples per chunk of the Monte-Carlo kernel.  It must be even, so that a
 # chunk takes whole 64-bit words and the draws do not depend on it.  Its
-# buffer of j and j^2 takes 128 kB, so a chunk's working set stays in
-# cache, and it stays below the 10,000 elements from which OpenBLAS threads
-# a dot product (in the bench, 32768 samples per chunk lost this kernel's
-# gain).
+# buffer of j takes 64 kB, so a chunk's working set stays in cache, and it
+# stays below the 10,000 elements from which OpenBLAS threads a dot product
+# (in the bench, 32768 samples per chunk lost this kernel's gain).
 _MC_CHUNK = 8192
 # A draw t = 1/2 + (j + 1/2) 2^-32 of a signed 32-bit integer j is
 # _MC_CENTER + j _MC_SCALE, both terms exact.
@@ -237,11 +236,10 @@ def _entropy_coefficients(u: np.ndarray) -> tuple[float, float, float]:
     # with t = |z|^2, m_a = (1 - t, sqrt(1 - t) z, z^2), and every
     # off-diagonal term of m_a^dag F m_a carries the phase of z once or
     # twice, so its mean over that phase is
-    #   F00 (1 - t)^2 + F11 t (1 - t) + F22 t^2 = e0 + t (e1 + t e2),
-    # whose real coefficients (e0, e1, e2) are returned.  diag F is
-    # |C|^2 @ (2/3, 1/3, 2/3).
-    f00, f11, f22 = np.abs(_det_coefficients(u)) ** 2 @ _HAAR_MOMENTS
-    return float(f00), float(f11 - 2 * f00), float(f00 - f11 + f22)
+    #   F00 (1 - t)^2 + F11 t (1 - t) + F22 t^2,
+    # whose coefficients, the diagonal (F00, F11, F22) of F, are returned.
+    # diag F is |C|^2 @ (2/3, 1/3, 2/3).
+    return tuple((np.abs(_det_coefficients(u)) ** 2 @ _HAAR_MOMENTS).tolist())
 
 
 def entangling_power_mc(
@@ -275,49 +273,44 @@ def entangling_power_mc(
     count drops the high half of the last word, and the first ``n`` draws
     of a larger count are the ``n`` draws.  With ``t = c + d``, ``c = 1/2 +
     2^-33`` and ``d = j 2^-32``, a sample is ``alpha + beta d + gamma d^2``,
-    so its sample mean and population variance are exact functions of the
-    means ``m1 .. m4`` of ``d .. d^4``: ``alpha + beta m1 + gamma m2`` and
-    ``beta^2 (m2 - m1^2) + 2 beta gamma (m3 - m1 m2) + gamma^2 (m4 -
-    m2^2)``.  The kernel streams the four power sums one ``_MC_CHUNK`` at a
-    time through one chunk-sized buffer and keeps no samples-sized array.
-    The standard error is ``std(ddof=1) / sqrt(samples)`` from that
-    variance: the same sample statistics as over a vector of the samples,
-    equal to roundoff.  A fixed ``seed`` gives bit-identical results, and
-    chunk sizes agree to roundoff.  The standard error reported is
-    at least ``EP_RESOLUTION``, the float64 resolution of an entangling
-    power.  ``samples`` must lie in [1000, ``MAX_MC_SAMPLES``] and ``seed``
-    must be a non-negative integer (``bool`` is refused), both checked
-    before anything is allocated.
+    so the estimate, the sample mean, is ``alpha + beta m1 + gamma m2`` in
+    the means ``m1``, ``m2`` of ``d`` and ``d^2``.  The kernel streams the
+    two power sums one ``_MC_CHUNK`` at a time through one chunk-sized
+    buffer and keeps no samples-sized array.  The standard error is exact,
+    ``sqrt(Var / samples)``, with the variance of the quadratic over a
+    uniform ``t`` in its shifted-Legendre form, a sum of squares:
+    ``Var = (F22 - F00)^2 / 12 + (F00 - F11 + F22)^2 / 180``.  It depends on
+    the gate and the sample count only.  A fixed ``seed`` gives
+    bit-identical results, and chunk sizes agree to roundoff.  The standard
+    error reported is at least ``EP_RESOLUTION``, the float64 resolution of
+    an entangling power.  ``samples`` must lie in [1000, ``MAX_MC_SAMPLES``]
+    and ``seed`` must be a non-negative integer (``bool`` is refused), both
+    checked before anything is allocated.
     """
     require_mc_samples(samples)
     require_mc_seed(seed)
-    e0, e1, e2 = _entropy_coefficients(np.asarray(u, dtype=complex))
+    f00, f11, f22 = _entropy_coefficients(np.asarray(u, dtype=complex))
+    e1, e2 = f11 - 2 * f00, f00 - f11 + f22
     bit_generator = np.random.default_rng(seed).bit_generator
-    # Rows j and j^2 of one chunk's draws.
-    powers = np.empty((2, min(samples, _MC_CHUNK)))
-    s12 = np.zeros(2)
-    s3 = s4 = 0.0
+    # One chunk's draws j.
+    buffer = np.empty(min(samples, _MC_CHUNK))
+    s1 = s2 = 0.0
     for start in range(0, samples, _MC_CHUNK):
         count = min(_MC_CHUNK, samples - start)
-        block = powers[:, :count]
-        x, x2 = block
+        x = buffer[:count]
         words = bit_generator.random_raw((count + 1) // 2)
         np.copyto(x, words.astype("<u8", copy=False).view("<i4")[:count])
         del words  # freed before the next chunk's words are drawn
-        np.multiply(x, x, out=x2)
-        s12 += block.sum(axis=1)
-        s3 += x2 @ x
-        s4 += x2 @ x2
+        s1 += x.sum()
+        s2 += x @ x
     # Means of d^k = (j 2^-32)^k; the scales are powers of two, so exact.
-    m1, m2, m3, m4 = (s * _MC_SCALE**k / samples for k, s in enumerate((*s12, s3, s4), 1))
-    # e0 + t (e1 + t e2) = alpha + beta d + gamma d^2 at t = _MC_CENTER + d.
-    alpha = e0 + _MC_CENTER * (e1 + _MC_CENTER * e2)
+    m1, m2 = s1 * _MC_SCALE / samples, s2 * _MC_SCALE**2 / samples
+    # f00 + t (e1 + t e2) = alpha + beta d + gamma d^2 at t = _MC_CENTER + d.
+    alpha = f00 + _MC_CENTER * (e1 + _MC_CENTER * e2)
     beta, gamma = e1 + 2 * _MC_CENTER * e2, e2
     estimate = alpha + beta * m1 + gamma * m2
-    variance = (beta * beta * (m2 - m1 * m1) + 2 * beta * gamma * (m3 - m1 * m2)
-                + gamma * gamma * (m4 - m2 * m2))
-    stderr = math.sqrt(variance * samples / (samples - 1)) / math.sqrt(samples)
-    return float(estimate), max(stderr, EP_RESOLUTION)
+    variance = (f22 - f00) ** 2 / 12 + e2 * e2 / 180
+    return float(estimate), max(math.sqrt(variance / samples), EP_RESOLUTION)
 
 
 def is_cnot_point(weyl: tuple[float, float, float], tol: float) -> bool:

@@ -429,12 +429,29 @@ class TestClassify:
         assert err.startswith("holodfs classify: CNOT tolerance must be finite")
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_entry_exits_2(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad, token", [(math.nan, "NaN"), (math.inf, "Infinity"),
+                                            (-math.inf, "-Infinity")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_json_constant_exits_5(self, tmp_path, capsys, bad, token):
+        # json.dumps writes these tokens, and json.load would read them back,
+        # but they are not JSON numbers.
         matrix = CNOT.copy()
         matrix[1, 2] = bad
         matrix_path = tmp_path / "m.json"
         write_matrix(matrix_path, matrix)
+        out = tmp_path / "c.json"
+        assert run(["classify", str(matrix_path), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"holodfs classify: matrix file {matrix_path} is not valid JSON: "
+            f"{token} is not a JSON number\n")
+        assert not out.exists()
+
+    def test_number_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # 1e400 is a JSON number; it reads as inf, which the unitarity
+        # check refuses as a non-finite entry.
+        matrix_path = tmp_path / "m.json"
+        write_matrix(matrix_path, CNOT)
+        matrix_path.write_text(matrix_path.read_text().replace("0.0", "1e400", 1))
         assert run(["classify", str(matrix_path)]) == 2
         assert "non-finite" in capsys.readouterr().err
 

@@ -77,6 +77,20 @@ class TestLocalInvariants:
             assert abs(g[0] - gd[0]) < 1e-9
             assert abs(g[1] - gd[1]) < 1e-9
 
+    @settings(deadline=None, max_examples=60)
+    @given(point=chamber_points(), gate_seed=st.integers(0, 2**32 - 1),
+           dressing_seed=st.integers(0, 2**32 - 1), phase=st.floats(0.0, 2 * math.pi))
+    def test_invariant_under_random_local_unitaries(self, point, gate_seed, dressing_seed,
+                                                    phase):
+        # A gate of any local class, between random local unitaries and
+        # times a global phase, keeps both invariants.
+        u = dressed_canonical(*point, np.random.default_rng(gate_seed))
+        g1, g2 = ent.local_invariants(u)
+        gd1, gd2 = ent.local_invariants(
+            np.exp(1j * phase) * dress(u, np.random.default_rng(dressing_seed)))
+        assert abs(g1 - gd1) < 1e-9
+        assert abs(g2 - gd2) < 1e-9
+
 
 class TestWeylCoordinates:
     def test_identity(self):

@@ -1,6 +1,7 @@
 """The golden-output recorder: its input matrices, its invocation list and its comparison."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -57,3 +58,34 @@ def test_compare_names_every_differing_or_missing_file(tmp_path):
     (a / "only_a.stderr").write_text("")
     assert golden_cli.compare(a, b) == ["changed.code", f"only_a.stderr (only in {a})"]
     assert golden_cli.compare(a, a) == []
+
+
+def test_compare_lists_the_json_paths_whose_values_differ(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    report = {"ep": 0.25, "ep_stderr": 1e-4, "weyl": [1.5, 0.0, 0.0],
+              "tolerances": {"gate": 1e-9, "leak": 1e-10}, "seed": 0}
+    (a / "r.stdout").write_text(json.dumps(report, indent=2) + "\n")
+    changed = {**report, "ep_stderr": 2e-4, "weyl": [1.5, 0.0, 1e-17],
+               "tolerances": {"gate": 1e-9}, "seed": 0.0, "added": True}
+    (b / "r.stdout").write_text(json.dumps(changed, indent=2) + "\n")
+    (a / "r.code").write_text("0\n")
+    (b / "r.code").write_text("2\n")
+    (a / "r.stderr").write_text("holodfs: one message\n")
+    (b / "r.stderr").write_text("holodfs: another message\n")
+    (a / "only.stdout").write_text("{}\n")
+    paths = ["$.added", "$.ep_stderr", "$.seed", "$.tolerances.leak", "$.weyl[2]"]
+    assert golden_cli.json_paths(a / "r.stdout", b / "r.stdout") == paths
+    assert golden_cli.json_paths(a / "r.stdout", a / "r.stdout") == []
+    assert golden_cli.json_paths(a / "r.code", b / "r.code") == ["$"]
+    assert golden_cli.json_paths(a / "r.stderr", b / "r.stderr") == []
+    assert golden_cli.json_paths(a / "only.stdout", b / "only.stdout") == []
+    assert golden_cli.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs: only.stdout (only in {a})",
+        "differs: r.code at $",
+        "differs: r.stderr",
+        f"differs: r.stdout at {', '.join(paths)}",
+        "4 of the files differ",
+    ]

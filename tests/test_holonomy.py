@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from holodfs import holonomy as ho
@@ -275,6 +277,23 @@ class TestParamsForRotation:
                 ideal=ho.analytic_gate_1q(theta, gamma),
             )
             assert report.analytic_distance < 1e-10
+
+    @settings(deadline=None, max_examples=40)
+    @given(theta=st.floats(0.0, math.pi), m=st.integers(1, 3), fraction=st.floats(0.0, 1.0))
+    @example(theta=0.0, m=1, fraction=0.0)
+    @example(theta=math.pi, m=3, fraction=1.0)
+    def test_synthesized_gate_is_the_closed_form(self, theta, m, fraction):
+        # The loop for a rotation by gamma in [0, 2 m pi], run in full
+        # space, closes on the closed-form gate at the gate-formula tolerance.
+        gamma = fraction * 2 * m * math.pi
+        g = ho.params_for_rotation(theta, gamma, m=m)
+        report = ho.evolve_and_project(
+            sm.build_h1(g.couplings()),
+            sm.logical_frame_1q(),
+            g.tau,
+            ideal=ho.analytic_gate_1q(theta, gamma),
+        )
+        assert report.analytic_distance < 1e-9
 
 
 class TestEvolveAndProject:

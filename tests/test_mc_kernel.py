@@ -2,8 +2,9 @@
 
 The kernel draws ``t = |a1|^2`` of each first input qubit uniform on
 (0, 1) and averages the phase of ``a1`` and the whole second input in
-closed form, so a sample is a quadratic in ``t``; it keeps only four power
-sums of the draws.  Its draws are checked on their own: each 64-bit word of
+closed form, so a sample is a quadratic in ``t``; it keeps only two power
+sums of the draws, and its standard error is the quadratic's exact one.
+Its draws are checked on their own: each 64-bit word of
 ``np.random.default_rng(seed).bit_generator.random_raw`` is taken once and
 split into two signed 32-bit integers ``j``, low half first, with ``t = 1/2
 + (j + 1/2) 2^-32``; a larger count starts with a smaller one, an odd count
@@ -17,9 +18,12 @@ the Haar mean over the second input of any entropy of degree two in it),
 builds every reduced density matrix and takes the mean of ``1 - tr(rho_1^2)``
 over the 12 products, then the mean and ``std(ddof=1)`` over the samples.
 The entropy holds the phase of ``a1`` with frequencies up to 2, which three
-equally spaced phases cancel, so the two must agree to roundoff.  The
-closed form ``(2/9)(1 - |G1|)`` (Balakrishnan & Sankaranarayanan, PRA 82,
-034301 (2010)) is the statistical oracle.
+equally spaced phases cancel, so the two estimates must agree to roundoff.
+``reference_stderr`` is the exact standard error: it recovers the quadratic
+from the same dense entropy at three values of ``t`` and takes its variance
+over a uniform ``t`` from the moments of ``t``.  The closed form ``(2/9)(1 -
+|G1|)`` (Balakrishnan & Sankaranarayanan, PRA 82, 034301 (2010)) is the
+statistical oracle.
 """
 
 import math
@@ -91,15 +95,32 @@ def phase_qubits(t):
     return np.stack([np.broadcast_to(np.sqrt(1.0 - t)[:, None], a1.shape), a1], axis=2)
 
 
-def reference_entangling_power_mc(u, samples, seed, t=None):
-    u = np.asarray(u, dtype=complex)
-    a = phase_qubits(draws(samples, seed) if t is None else t)
-    product = np.einsum("nki,bj->nkbij", a, TETRAHEDRON).reshape(samples, 12, 4)
-    m = (product @ u.T).reshape(samples, 12, 2, 2)
+def reference_entropies(u, t):
+    """The linear entropy of ``u`` for each first-input ``t``, averaged over
+    three phases of ``a1`` and the four tetrahedral second inputs."""
+    a = phase_qubits(t)
+    product = np.einsum("nki,bj->nkbij", a, TETRAHEDRON).reshape(len(t), 12, 4)
+    m = (product @ np.asarray(u, dtype=complex).T).reshape(len(t), 12, 2, 2)
     rho1 = np.einsum("nbij,nbkj->nbik", m, m.conj())
     purity = np.einsum("nbik,nbik->nb", rho1, rho1.conj()).real
-    entropy = (1.0 - purity).mean(axis=1)
+    return (1.0 - purity).mean(axis=1)
+
+
+def reference_entangling_power_mc(u, samples, seed, t=None):
+    entropy = reference_entropies(u, draws(samples, seed) if t is None else t)
     return float(entropy.mean()), float(entropy.std(ddof=1) / math.sqrt(samples))
+
+
+def reference_stderr(u, samples):
+    """The exact standard error of a ``samples``-draw mean of the reference
+    entropy, a quadratic ``e0 + e1 t + e2 t^2`` in a uniform ``t``, floored
+    at ``EP_RESOLUTION``."""
+    q0, q_half, q1 = reference_entropies(u, np.array([0.0, 0.5, 1.0])).tolist()
+    e2 = 2.0 * (q0 - 2.0 * q_half + q1)
+    e1 = q1 - q0 - e2
+    # Var t = 1/12, Cov(t, t^2) = 1/12 and Var t^2 = 4/45 for uniform t.
+    variance = e1 * e1 / 12 + e1 * e2 / 6 + 4 * e2 * e2 / 45
+    return max(math.sqrt(variance / samples), ent.EP_RESOLUTION)
 
 
 def _assert_close(value, reference):
@@ -108,9 +129,9 @@ def _assert_close(value, reference):
 
 def _assert_matches_reference(u, samples, seed):
     estimate, stderr = ent.entangling_power_mc(u, samples, seed)
-    ref_estimate, ref_stderr = reference_entangling_power_mc(u, samples, seed)
+    ref_estimate, _ = reference_entangling_power_mc(u, samples, seed)
     _assert_close(estimate, ref_estimate)
-    _assert_close(stderr, ref_stderr)
+    _assert_close(stderr, reference_stderr(u, samples))
 
 
 class RecordingBitGenerator:
@@ -211,9 +232,9 @@ def test_estimate_takes_the_first_draws_of_a_larger_count(samples):
     u = random_unitary(np.random.default_rng(samples), 4)
     estimate, stderr = ent.entangling_power_mc(u, samples, seed=9)
     t = draws(3 * samples, seed=9)[:samples]
-    ref_estimate, ref_stderr = reference_entangling_power_mc(u, samples, 9, t=t)
+    ref_estimate, _ = reference_entangling_power_mc(u, samples, 9, t=t)
     _assert_close(estimate, ref_estimate)
-    _assert_close(stderr, ref_stderr)
+    _assert_close(stderr, reference_stderr(u, samples))
 
 
 @pytest.mark.parametrize("samples", [1001, 2 * ent._MC_CHUNK + 1])
@@ -258,6 +279,24 @@ def test_dressed_canonical_gates_match_reference(point, dressing_seed, seed, sam
     c1, c2, c3 = sorted((math.pi * x for x in point), reverse=True)
     u = dressed_canonical(c1, c2, c3, np.random.default_rng(dressing_seed))
     _assert_matches_reference(u, samples, seed)
+
+
+@pytest.mark.parametrize("unitary_seed", range(4))
+def test_exact_stderr_matches_the_sample_stderr(unitary_seed):
+    # At 20,000 draws the sample standard deviation of a quadratic in a
+    # uniform t scatters by well under 1% about the exact one.
+    u = random_unitary(np.random.default_rng(200 + unitary_seed), 4)
+    _, stderr = ent.entangling_power_mc(u, 20_000, seed=unitary_seed)
+    _, sample_stderr = reference_entangling_power_mc(u, 20_000, seed=unitary_seed)
+    assert abs(stderr - sample_stderr) <= 0.03 * sample_stderr
+
+
+def test_stderr_does_not_depend_on_the_seed():
+    u = random_unitary(np.random.default_rng(17), 4)
+    results = [ent.entangling_power_mc(u, 5000, seed) for seed in range(5)]
+    assert len({estimate for estimate, _ in results}) == 5
+    assert {stderr for _, stderr in results} == {results[0][1]}
+    _assert_close(results[0][1], reference_stderr(u, 5000))
 
 
 @settings(deadline=None, max_examples=100)
@@ -340,7 +379,8 @@ def no_threads(monkeypatch):
                                      13 * ent._MC_CHUNK - 1])
 def test_results_do_not_depend_on_the_chunk_size(samples, monkeypatch):
     # Every even chunk size takes the same draws; the power sums are added
-    # in another grouping, so the results agree to roundoff.
+    # in another grouping, so the estimates agree to roundoff, and the
+    # standard error does not depend on the draws.
     u = random_unitary(np.random.default_rng(11), 4)
     results = []
     for chunk in (1000, 4096, ent._MC_CHUNK, samples + samples % 2):
@@ -508,10 +548,10 @@ def _assert_memory_within_the_chunk_buffers(samples):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One (2, chunk) float buffer of j and j^2 (128 kB) and the words of one
-    # chunk (32 kB); about 167 kB measured, and no samples-sized array.  An
+    # One chunk-sized float buffer of j (64 kB) and the words of one chunk
+    # (32 kB); about 99.5 kB measured, and no samples-sized array.  An
     # entropy vector took 8 MB at 1,000,000 samples.
-    assert peak < 200_000
+    assert peak < 110_000
 
 
 def test_chunked_kernel_keeps_memory_near_the_draws():

@@ -12,8 +12,10 @@ invocation ``name`` it saves ``name.stdout``, ``name.stderr`` and
 ``name.file.<file>`` for each file the invocation wrote (``--out``).
 
 Comparing names every file that differs between two records or exists in
-only one of them, and exits 1 when there is any.  Two records of one
-checkout are byte-identical, because every command is deterministic.
+only one of them, and exits 1 when there is any.  For a differing file that
+parses as JSON on both sides it also lists the paths of the values that
+differ, as ``$.key[index]``.  Two records of one checkout are
+byte-identical, because every command is deterministic.
 
 Standard library only.
 """
@@ -199,6 +201,28 @@ def compare(a: Path, b: Path) -> list[str]:
     return differ
 
 
+def _value_paths(left, right, path: str) -> list[str]:
+    # Paths below ``path`` at which two parsed JSON values differ.
+    if isinstance(left, dict) and isinstance(right, dict):
+        return [found for key in sorted(left.keys() | right.keys())
+                for found in (_value_paths(left[key], right[key], f"{path}.{key}")
+                              if key in left and key in right else [f"{path}.{key}"])]
+    if isinstance(left, list) and isinstance(right, list) and len(left) == len(right):
+        return [found for i, pair in enumerate(zip(left, right))
+                for found in _value_paths(*pair, f"{path}[{i}]")]
+    return [] if type(left) is type(right) and left == right else [path]
+
+
+def json_paths(left: Path, right: Path) -> list[str]:
+    """Paths of the values that differ between two files that both parse as
+    JSON; empty when either is missing or does not parse."""
+    try:
+        values = [json.loads(path.read_bytes()) for path in (left, right)]
+    except (OSError, ValueError):
+        return []
+    return _value_paths(*values, "$")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     action = parser.add_mutually_exclusive_group(required=True)
@@ -209,9 +233,11 @@ def main(argv=None) -> int:
                         help="checkout to run (default: this repository)")
     args = parser.parse_args(argv)
     if args.compare:
-        differ = compare(*args.compare)
+        a, b = args.compare
+        differ = compare(a, b)
         for name in differ:
-            print(f"differs: {name}")
+            paths = json_paths(a / name, b / name)
+            print(f"differs: {name}" + (f" at {', '.join(paths)}" if paths else ""))
         print(f"{len(differ)} of the files differ" if differ else "identical")
         return 1 if differ else 0
     record(args.root.resolve(), args.out)
