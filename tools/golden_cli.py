@@ -204,9 +204,13 @@ def compare(a: Path, b: Path) -> list[str]:
 def _value_paths(left, right, path: str) -> list[str]:
     # Paths below ``path`` at which two parsed JSON values differ.
     if isinstance(left, dict) and isinstance(right, dict):
-        return [found for key in sorted(left.keys() | right.keys())
-                for found in (_value_paths(left[key], right[key], f"{path}.{key}")
-                              if key in left and key in right else [f"{path}.{key}"])]
+        paths = []
+        for key in sorted(left.keys() | right.keys()):
+            if key in left and key in right:
+                paths += _value_paths(left[key], right[key], f"{path}.{key}")
+            else:
+                paths.append(f"{path}.{key}")
+        return paths
     if isinstance(left, list) and isinstance(right, list) and len(left) == len(right):
         return [found for i, pair in enumerate(zip(left, right))
                 for found in _value_paths(*pair, f"{path}[{i}]")]
