@@ -130,34 +130,8 @@ def _json_text(payload: dict) -> str:
     return "".join(parts) + "\n"
 
 
-# The GateReport fields that verify checks against TOLERANCES.
+# The GateReport fields that the loop commands report and verify checks against TOLERANCES.
 _CRITERIA = ("cyclicity_residual", "max_dynamical_norm", "leakage", "analytic_distance")
-
-
-def _report_block(report) -> dict:
-    return {"holonomy": report.holonomy,
-            **{name: getattr(report, name) for name in _CRITERIA}}
-
-
-def _runs(params, ideal: np.ndarray, samples: int):
-    # The loop of ``params`` evolved in its excitation sector and in full space.
-    h_full = params.hamiltonian()
-    sector, logical = params.frames()
-    h_eff, _ = restrict(h_full, sector)
-    effective = evolve_and_project(h_eff, params.frames(effective=True)[1], params.tau,
-                                   samples=samples, ideal=ideal)
-    full = evolve_and_project(h_full, logical, params.tau, samples=samples, ideal=ideal)
-    return effective, full
-
-
-def _check_distance(*reports) -> None:
-    worst = float(np.max([report.analytic_distance for report in reports]))
-    if not worst <= TOLERANCES["analytic_distance"]:
-        raise CommandError(
-            f"analytic distance {worst:.3e} exceeds tolerance "
-            f"{TOLERANCES['analytic_distance']:.0e}",
-            EXIT_TOLERANCE,
-        )
 
 
 def _given(args, *flags) -> dict:
@@ -166,117 +140,109 @@ def _given(args, *flags) -> dict:
             if getattr(args, flag, None) is not None}
 
 
-def _target(args):
-    """The requested angles and the loop they select: ``(angles, (params, ideal))``.
+def _loop(args):
+    """The requested loop, run in its excitation sector and in full space:
+    ``(angles, params, ideal, reports)``.
 
     ``--theta-tilde`` selects the two-qubit loop, whose ``angles`` are ``None``;
     else ``--gate`` or both ``--theta`` and ``--gamma`` give ``(theta, gamma)``.  Flags
     of the other loop are refused; unset windings and scales take loop_target's defaults.
+    ``reports`` maps ``effective`` (the sector route) and ``full`` (the full-space
+    oracle) to the GateReport of each at ``--samples``.
     """
     if getattr(args, "theta_tilde", None) is not None:
         for flag in _given(args, "gate", "theta", "gamma", "m", "omega"):
             raise CommandError(f"--theta-tilde conflicts with --{flag}", EXIT_VALIDATION)
-        scales = _given(args, "m_tilde", "omega_tilde")
-        return None, loop_target(
+        angles, scales = None, _given(args, "m_tilde", "omega_tilde")
+        params, ideal = loop_target(
             theta_tilde=args.theta_tilde,
             **{flag.removesuffix("_tilde"): v for flag, v in scales.items()})
-    for flag in _given(args, "m_tilde", "omega_tilde"):
-        raise CommandError(
-            f"--{flag.replace('_', '-')} applies only with --theta-tilde", EXIT_VALIDATION
-        )
-    if args.gate is not None:
-        if args.theta is not None or args.gamma is not None:
-            raise CommandError("--gate conflicts with --theta/--gamma", EXIT_VALIDATION)
-        angles = GATE_PRESETS[args.gate]
-    elif args.theta is None or args.gamma is None:
-        raise CommandError("provide --gate or both --theta and --gamma", EXIT_VALIDATION)
     else:
-        angles = args.theta, args.gamma
-    return angles, loop_target(*angles, **_given(args, "m", "omega"))
+        for flag in _given(args, "m_tilde", "omega_tilde"):
+            raise CommandError(
+                f"--{flag.replace('_', '-')} applies only with --theta-tilde", EXIT_VALIDATION
+            )
+        if args.gate is not None:
+            if args.theta is not None or args.gamma is not None:
+                raise CommandError("--gate conflicts with --theta/--gamma", EXIT_VALIDATION)
+            angles = GATE_PRESETS[args.gate]
+        elif args.theta is None or args.gamma is None:
+            raise CommandError("provide --gate or both --theta and --gamma", EXIT_VALIDATION)
+        else:
+            angles = args.theta, args.gamma
+        params, ideal = loop_target(*angles, **_given(args, "m", "omega"))
+    h_full = params.hamiltonian()
+    sector, logical = params.frames()
+    routes = {"effective": (restrict(h_full, sector)[0], params.frames(effective=True)[1]),
+              "full": (h_full, logical)}
+    reports = {route: evolve_and_project(h, frame, params.tau, samples=args.samples,
+                                         ideal=ideal)
+               for route, (h, frame) in routes.items()}
+    return angles, params, ideal, reports
 
 
-def cmd_synth_1q(args) -> int:
-    (theta, gamma), (params, ideal) = _target(args)
-    effective, full = _runs(params, ideal, args.samples)
-    couplings = params.couplings()
+def cmd_synth(args) -> int:
+    """``synth-1q`` and ``synth-2q``: the loop's report, then exit 3 if a route's
+    analytic distance exceeds its tolerance."""
+    if args.command == "synth-2q":
+        require_mc_samples(args.mc_samples)
+        require_mc_seed(args.seed)
+    angles, params, ideal, reports = _loop(args)
     payload = {
-        "command": "synth-1q",
-        "params": {
-            "theta": params.theta,
-            "gamma": gamma,
-            "phi": params.phi,
-            "m": params.m,
-            "omega": params.omega,
-            "tau": params.tau,
-            "couplings": {"j1a": couplings.j1a, "j2a": couplings.j2a, "b": couplings.b},
-        },
-        "target": {
-            "axis": [math.sin(theta), 0.0, -math.cos(theta)],
-            "rotation_angle": gamma,
-            "matrix": ideal,
-        },
-        "effective": _report_block(effective),
-        "full": _report_block(full),
-        "tolerances": TOLERANCES,
-    }
-    _emit(_json_text(payload), args.out)
-    _check_distance(effective, full)
-    return EXIT_OK
-
-
-def cmd_synth_2q(args) -> int:
-    require_mc_samples(args.mc_samples)
-    require_mc_seed(args.seed)
-    _, (params, ideal) = _target(args)
-    effective, full = _runs(params, ideal, args.samples)
-    couplings = params.couplings()
-    report = classify_gate(full.holonomy, ep_samples=args.mc_samples, seed=args.seed,
-                           cnot_tol=TOLERANCES["cnot_weyl"])
-    payload = {
-        "command": "synth-2q",
-        "params": {
-            "theta_tilde": params.theta_tilde,
-            "m_tilde": params.m_tilde,
-            "omega_tilde": params.omega_tilde,
-            "tau": params.tau,
-            "couplings": {"j32": couplings.j32, "j42": couplings.j42},
-        },
+        "command": args.command,
+        # The loop's fields and couplings, without the DM strengths (``*_z``) it leaves at 0.
+        "params": {**vars(params), "tau": params.tau, "couplings": {
+            name: value for name, value in vars(params.couplings()).items()
+            if not name.endswith("_z")}},
         "target": {"matrix": ideal},
-        "effective": _report_block(effective),
-        "full": _report_block(full),
-        "entanglement": {
-            "g1": report.g1,
-            "g2": report.g2,
-            "weyl": list(report.weyl),
+        "tolerances": TOLERANCES,
+        **{route: {"holonomy": report.holonomy,
+                   **{name: getattr(report, name) for name in _CRITERIA}}
+           for route, report in reports.items()},
+    }
+    if angles is None:
+        classified = classify_gate(reports["full"].holonomy, ep_samples=args.mc_samples,
+                                   seed=args.seed, cnot_tol=TOLERANCES["cnot_weyl"])
+        payload["entanglement"] = {
+            "g1": classified.g1,
+            "g2": classified.g2,
+            "weyl": list(classified.weyl),
             "ep": entangling_power_analytic(params.theta_tilde),
-            "ep_mc": report.ep,
-            "ep_mc_stderr": report.ep_stderr,
+            "ep_mc": classified.ep,
+            "ep_mc_stderr": classified.ep_stderr,
             "mc_samples": args.mc_samples,
             "seed": args.seed,
-            "cnot_equivalent": report.cnot_equivalent,
-        },
-        "tolerances": TOLERANCES,
-    }
+            "cnot_equivalent": classified.cnot_equivalent,
+        }
+    else:
+        # The requested gamma: params.gamma went through acos.
+        theta, gamma = angles
+        payload["params"]["gamma"] = gamma
+        payload["target"].update(axis=[math.sin(theta), 0.0, -math.cos(theta)],
+                                 rotation_angle=gamma)
     _emit(_json_text(payload), args.out)
-    _check_distance(effective, full)
+    worst = float(np.max([report.analytic_distance for report in reports.values()]))
+    if not worst <= TOLERANCES["analytic_distance"]:
+        raise CommandError(
+            f"analytic distance {worst:.3e} exceeds tolerance "
+            f"{TOLERANCES['analytic_distance']:.0e}",
+            EXIT_TOLERANCE,
+        )
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    angles, (params, ideal) = _target(args)
-    effective, full = _runs(params, ideal, args.samples)
-
-    def criteria(report) -> dict:
+    angles, params, _, reports = _loop(args)
+    blocks = {}
+    for route, report in reports.items():
         values = {name: getattr(report, name) for name in _CRITERIA}
         # An energy, whose roundoff grows with the loop's scale: judged in units of omega.
         values["max_dynamical_norm"] /= params.omega
-        return {
+        blocks[route] = {
             name: {"value": value, "tolerance": TOLERANCES[name],
                    "pass": bool(value <= TOLERANCES[name])}
             for name, value in values.items()
         }
-
-    blocks = {"effective": criteria(effective), "full": criteria(full)}
     all_pass = all(
         entry["pass"] for block in blocks.values() for entry in block.values()
     )
@@ -465,7 +431,7 @@ def _parser() -> argparse.ArgumentParser:
     s1 = sub.add_parser("synth-1q", help="synthesize and verify a single-qubit gate")
     add_1q_target(s1)
     add_common(s1)
-    s1.set_defaults(func=cmd_synth_1q)
+    s1.set_defaults(func=cmd_synth)
 
     s2 = sub.add_parser("synth-2q", help="synthesize, verify and classify a two-qubit gate")
     s2.add_argument("--theta-tilde", type=float, required=True,
@@ -476,7 +442,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="Monte-Carlo samples for the entangling power")
     s2.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     add_common(s2)
-    s2.set_defaults(func=cmd_synth_2q)
+    s2.set_defaults(func=cmd_synth)
 
     v = sub.add_parser("verify", help="check the holonomic-gate criteria for a loop")
     add_1q_target(v)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -562,6 +563,33 @@ class TestMonteCarloCap:
         assert len(calls) == 2
 
 
+@pytest.mark.parametrize("samples", [[], ["--samples", "5"]], ids=["default", "5"])
+@pytest.mark.parametrize("argv, dims", [
+    (["synth-1q", "--gate", "hadamard"], (3, 8)),
+    (["synth-2q", "--theta-tilde", "0.6", "--mc-samples", "1000"], (6, 16)),
+    (["verify", "--gate", "pi8"], (3, 8)),
+    (["verify", "--theta-tilde", "0.6"], (6, 16)),
+], ids=["synth-1q", "synth-2q", "verify-1q", "verify-2q"])
+def test_loop_commands_evolve_each_route_once(monkeypatch, capsys, argv, dims, samples):
+    # The benchmark counts the time samples of every loop command: one evolution
+    # in the excitation sector and one in full space, each at --samples.
+    calls = []
+    evolve = cli.evolve_and_project
+    signature = inspect.signature(evolve)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["h"].shape, bound.arguments["samples"]))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve_and_project", spy)
+    assert run(argv + samples) == 0
+    capsys.readouterr()
+    count = int(samples[1]) if samples else cli.TIME_SAMPLES
+    assert sorted(calls) == [((dim, dim), count) for dim in dims]
+
+
 # 401 digits, odd so that it is also a valid two-qubit winding.
 HUGE_WINDING = "1" + "0" * 399 + "1"
 
@@ -851,15 +879,25 @@ class TestScaleOverflow:
 
 
 class TestToleranceBreach:
-    def test_synth_exit_3_when_threshold_tightened(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["synth-1q", "--gate", "hadamard"],
+        ["synth-2q", "--theta-tilde", "0.6", "--mc-samples", "1000"],
+    ], ids=lambda argv: argv[0])
+    def test_synth_exit_3_when_threshold_tightened(self, tmp_path, monkeypatch, capsys,
+                                                    argv):
         # No physical input breaches the default 1e-8 bound (synthesis is
         # exact to roundoff), so tighten the threshold below the floating
         # floor to exercise the breach path.
         monkeypatch.setitem(cli.TOLERANCES, "analytic_distance", 1e-40)
         out = tmp_path / "h.json"
-        assert run(["synth-1q", "--gate", "hadamard", "--out", str(out)]) == 3
-        # The report is still emitted before the breach is signalled.
-        assert json.loads(out.read_text())["full"]["analytic_distance"] > 0.0
+        assert run(argv + ["--out", str(out)]) == 3
+        # The report is still emitted before the breach is signalled, and the
+        # breach names the worse of the two routes.
+        report = json.loads(out.read_text())
+        worst = max(report[route]["analytic_distance"] for route in ("effective", "full"))
+        assert worst > 0.0
+        assert capsys.readouterr().err == (
+            f"holodfs {argv[0]}: analytic distance {worst:.3e} exceeds tolerance 1e-40\n")
 
     def test_verify_exit_3_when_threshold_tightened(self, tmp_path, monkeypatch):
         monkeypatch.setitem(cli.TOLERANCES, "cyclicity_residual", 1e-40)

@@ -160,6 +160,8 @@ _LINES = {
     "classify": [["--samples", "1000"]],
     "sweep": [["--gate", "hadamard", "--steps", "3"],
               ["--gate", "custom", "--theta", "0.3", "--gamma", "1.0", "--steps", "3"],
+              # No exchange coupling: the coupling vector comes from the DM bonds alone.
+              ["--gate", "custom", "--theta", "0.3", "--gamma", "0.0", "--steps", "3"],
               ["--gate", "two-qubit", "--theta-tilde", "0.6", "--steps", "3"]],
 }
 
