@@ -148,7 +148,7 @@ def _loop(args):
     else ``--gate`` or both ``--theta`` and ``--gamma`` give ``(theta, gamma)``.  Flags
     of the other loop are refused; unset windings and scales take loop_target's defaults.
     ``reports`` maps ``effective`` (the sector route) and ``full`` (the full-space
-    oracle) to the GateReport of each at ``--samples``.
+    oracle) to the holonomy of each at ``--samples`` and its ``_CRITERIA`` values by name.
     """
     if getattr(args, "theta_tilde", None) is not None:
         for flag in _given(args, "gate", "theta", "gamma", "m", "omega"):
@@ -175,16 +175,18 @@ def _loop(args):
     sector, logical = params.frames()
     routes = {"effective": (restrict(h_full, sector)[0], params.frames(effective=True)[1]),
               "full": (h_full, logical)}
-    reports = {route: evolve_and_project(h, frame, params.tau, samples=args.samples,
-                                         ideal=ideal)
-               for route, (h, frame) in routes.items()}
+    reports = {}
+    for route, (h, frame) in routes.items():
+        report = evolve_and_project(h, frame, params.tau, samples=args.samples, ideal=ideal)
+        reports[route] = report.holonomy, {name: getattr(report, name) for name in _CRITERIA}
     return angles, params, ideal, reports
 
 
 def cmd_synth(args) -> int:
     """``synth-1q`` and ``synth-2q``: the loop's report, then exit 3 if a route's
     analytic distance exceeds its tolerance."""
-    if args.command == "synth-2q":
+    two_qubit = args.command == "synth-2q"
+    if two_qubit:
         require_mc_samples(args.mc_samples)
         require_mc_seed(args.seed)
     angles, params, ideal, reports = _loop(args)
@@ -196,12 +198,11 @@ def cmd_synth(args) -> int:
             if not name.endswith("_z")}},
         "target": {"matrix": ideal},
         "tolerances": TOLERANCES,
-        **{route: {"holonomy": report.holonomy,
-                   **{name: getattr(report, name) for name in _CRITERIA}}
-           for route, report in reports.items()},
+        **{route: {"holonomy": holonomy, **criteria}
+           for route, (holonomy, criteria) in reports.items()},
     }
-    if angles is None:
-        classified = classify_gate(reports["full"].holonomy, ep_samples=args.mc_samples,
+    if two_qubit:
+        classified = classify_gate(reports["full"][0], ep_samples=args.mc_samples,
                                    seed=args.seed, cnot_tol=TOLERANCES["cnot_weyl"])
         payload["entanglement"] = {
             "g1": classified.g1,
@@ -221,7 +222,7 @@ def cmd_synth(args) -> int:
         payload["target"].update(axis=[math.sin(theta), 0.0, -math.cos(theta)],
                                  rotation_angle=gamma)
     _emit(_json_text(payload), args.out)
-    worst = float(np.max([report.analytic_distance for report in reports.values()]))
+    worst = float(np.max([criteria["analytic_distance"] for _, criteria in reports.values()]))
     if not worst <= TOLERANCES["analytic_distance"]:
         raise CommandError(
             f"analytic distance {worst:.3e} exceeds tolerance "
@@ -234,8 +235,7 @@ def cmd_synth(args) -> int:
 def cmd_verify(args) -> int:
     angles, params, _, reports = _loop(args)
     blocks = {}
-    for route, report in reports.items():
-        values = {name: getattr(report, name) for name in _CRITERIA}
+    for route, (_, values) in reports.items():
         # An energy, whose roundoff grows with the loop's scale: judged in units of omega.
         values["max_dynamical_norm"] /= params.omega
         blocks[route] = {

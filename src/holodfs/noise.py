@@ -347,13 +347,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         _require_contraction(norm.max())
         # c underflows to 0 where a loop with no exchange coupling meets DM
         # strengths below the float range; the block is then the identity.
-        size = size[..., None]
-        small = size < np.finfo(float).tiny
-        if small.any():
-            # numpy divides a complex by multiplying with 1/size, which overflows for
-            # a subnormal size: those sizes and their c are lifted by an exact 2**54.
-            lift = np.where(small, 2.0**54, 1.0)
-            c, size = c * lift, size * lift
+        # numpy divides a complex by multiplying with 1/size, which overflows for
+        # a subnormal size: those sizes and their c are lifted by an exact 2**54.
+        lift = np.where(size[..., None] < np.finfo(float).tiny, 2.0**54, 1.0)
+        c, size = c * lift, size[..., None] * lift
         unit = np.divide(c, size, out=np.zeros_like(c), where=size > 0)
         # b^dag V_j^dag b with b = conj(unit).
         bright = np.einsum("...ja,jab,...jb->...j", unit, ideal_dag, unit.conj())

@@ -590,6 +590,22 @@ def test_loop_commands_evolve_each_route_once(monkeypatch, capsys, argv, dims, s
     assert sorted(calls) == [((dim, dim), count) for dim in dims]
 
 
+@pytest.mark.parametrize("argv, params, couplings", [
+    (["synth-1q", "--gate", "hadamard"],
+     {"theta", "phi", "m", "omega", "gamma", "tau"}, {"j1a", "j2a", "b"}),
+    (["synth-2q", "--theta-tilde", "0.6", "--mc-samples", "1000"],
+     {"theta_tilde", "m_tilde", "omega_tilde", "tau"}, {"j32", "j42"}),
+], ids=["synth-1q", "synth-2q"])
+def test_synth_params_keys(tmp_path, argv, params, couplings):
+    # The params block is read off the loop's and its couplings' dataclass fields:
+    # a field added there shows up here, and the DM strengths (*_z) must not.
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    block = json.loads(out.read_text())["params"]
+    assert set(block.pop("couplings")) == couplings
+    assert set(block) == params
+
+
 # 401 digits, odd so that it is also a valid two-qubit winding.
 HUGE_WINDING = "1" + "0" * 399 + "1"
 

@@ -7,6 +7,8 @@ last ones compare the kernel with a 40-digit matrix exponential of the
 whole sector Hamiltonian.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -122,6 +124,20 @@ def test_vanishing_coupling_leaves_the_logical_block_alone():
     table = noise.run_sweep(spec)
     assert np.all(np.isfinite(table.fidelity))
     assert table.fidelity[2, 2] == 1.0
+
+
+def test_subnormal_scale_gives_the_unit_scale_table():
+    # At omega = 2.2e-308 the coupling norms are subnormal, and numpy's complex
+    # division by them overflowed to NaN.  The fidelity depends only on the
+    # ratios omega / D_z, so the table is the one at omega = 1, with no warning.
+    def fidelity(omega):
+        loop = loop_target(gate="custom", theta=1.0, gamma=2 * np.pi, omega=omega)
+        return noise.run_sweep(noise.SweepSpec(loop, steps_per_axis=2)).fidelity
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = fidelity(2.2e-308)
+    np.testing.assert_allclose(tiny, fidelity(1.0), rtol=0, atol=1e-15)
 
 
 def _reference_fidelity(spec, i, j):
